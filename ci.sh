@@ -16,6 +16,11 @@ cargo test -q --release
 # must be clippy-clean.
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The sweep-path benchmark is a separate package that links the
+# workspace crates by path: an API change must not silently break its
+# build or its unit tests.
+cargo test --release --offline --manifest-path sweepbench/Cargo.toml
+
 # One pass of the suite with the execution layer at 4 lanes: the
 # determinism contract says every result is identical to the 1-lane
 # default the first `cargo test` above used.

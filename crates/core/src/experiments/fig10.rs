@@ -85,12 +85,17 @@ impl Fig10 {
     }
 }
 
-/// The workloads searched for the worst case. The full 106-trace sweep is
-/// summarised by its extremes in the paper; we search the hottest
-/// candidates of each behavioural class (peak-power media, mixed-width
-/// memory-bound pointer, compute-bound integer).
+/// Names of the workloads searched for the worst case, in search order.
+/// The full 106-trace sweep is summarised by its extremes in the paper;
+/// we search the hottest candidates of each behavioural class
+/// (peak-power media, mixed-width memory-bound pointer, compute-bound
+/// integer).
+pub const WORST_CASE_CANDIDATES: [&str; 5] =
+    ["mpeg2-like", "susan-like", "yacr2-like", "crafty-like", "gzip-like"];
+
+/// Builds the [`WORST_CASE_CANDIDATES`].
 pub fn worst_case_candidates() -> Vec<Workload> {
-    ["mpeg2-like", "susan-like", "yacr2-like", "crafty-like", "gzip-like"]
+    WORST_CASE_CANDIDATES
         .iter()
         .map(|n| workload_by_name(n).expect("candidate exists"))
         .collect()

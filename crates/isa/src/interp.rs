@@ -87,7 +87,9 @@ pub struct RunSummary {
 /// The TH64 functional machine: registers + memory + program counter.
 #[derive(Clone, Debug)]
 pub struct Machine {
-    program: Program,
+    /// The program's entry and text only: fetch reads nothing else, and
+    /// the data segments already live in `mem`.
+    code: Program,
     regs: [u64; Reg::COUNT],
     pc: u64,
     mem: Memory,
@@ -103,7 +105,11 @@ impl Machine {
     pub fn new(program: &Program) -> Machine {
         Machine {
             mem: program.build_memory(),
-            program: program.clone(),
+            code: Program {
+                entry: program.entry,
+                text: program.text.clone(),
+                ..Program::default()
+            },
             regs: [0; Reg::COUNT],
             pc: program.entry,
             halted: false,
@@ -163,7 +169,7 @@ impl Machine {
             return Err(Trap::Halted);
         }
         let pc = self.pc;
-        let inst = *self.program.fetch(pc).ok_or(Trap::IllegalPc(pc))?;
+        let inst = *self.code.fetch(pc).ok_or(Trap::IllegalPc(pc))?;
         let rec = self.execute(pc, inst);
         self.pc = rec.next_pc;
         self.icount += 1;

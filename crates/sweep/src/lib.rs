@@ -54,7 +54,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use th_cosim::{CoSimConfig, PolicyKind};
 use th_stack3d::Unit;
-use th_workloads::workload_by_name;
+use th_workloads::{workload_by_name, Workload};
 use thermal_herding::experiments::dtm;
 use thermal_herding::{run_chip, thermal_analysis, Variant};
 
@@ -153,10 +153,9 @@ impl ShardTask {
     pub fn execute(&self) -> Result<ShardPayload, String> {
         match self {
             ShardTask::ChipRun { workload, variant, budget } => {
-                let w = workload_by_name(workload)
-                    .ok_or_else(|| format!("unknown workload {workload:?}"))?;
-                let run = run_chip(*variant, &w, *budget)
-                    .map_err(|t| format!("pipeline trap: {t:?}"))?;
+                let (w, build_s) = build_workload(workload)?;
+                let (run, sim_s) = timed(|| run_chip(*variant, &w, *budget));
+                let run = run.map_err(|t| format!("pipeline trap: {t:?}"))?;
                 let table = run.die_table();
                 Ok(ShardPayload {
                     metrics: vec![
@@ -167,22 +166,26 @@ impl ShardTask {
                         ("committed".into(), run.core_stats.committed as f64),
                         ("rf_top_die".into(), table.fractions(Unit::RegFile)[0]),
                     ],
-                    timings: Vec::new(),
+                    timings: vec![("build_s".into(), build_s), ("sim_s".into(), sim_s)],
                 })
             }
             ShardTask::ThermalRun { workload, variant, budget, rows } => {
-                let w = workload_by_name(workload)
-                    .ok_or_else(|| format!("unknown workload {workload:?}"))?;
-                let run = run_chip(*variant, &w, *budget)
-                    .map_err(|t| format!("pipeline trap: {t:?}"))?;
-                let analysis = thermal_analysis(&run, *rows).map_err(|e| e.to_string())?;
+                let (w, build_s) = build_workload(workload)?;
+                let (run, sim_s) = timed(|| run_chip(*variant, &w, *budget));
+                let run = run.map_err(|t| format!("pipeline trap: {t:?}"))?;
+                let (analysis, solve_s) = timed(|| thermal_analysis(&run, *rows));
+                let analysis = analysis.map_err(|e| e.to_string())?;
                 Ok(ShardPayload {
                     metrics: vec![
                         ("ipc".into(), run.ipc()),
                         ("total_w".into(), run.power.total_w()),
                         ("peak_k".into(), analysis.peak_k()),
                     ],
-                    timings: Vec::new(),
+                    timings: vec![
+                        ("build_s".into(), build_s),
+                        ("sim_s".into(), sim_s),
+                        ("solve_s".into(), solve_s),
+                    ],
                 })
             }
             ShardTask::CosimRun {
@@ -195,8 +198,7 @@ impl ShardTask {
                 slice_cycles,
                 steps,
             } => {
-                let w = workload_by_name(workload)
-                    .ok_or_else(|| format!("unknown workload {workload:?}"))?;
+                let (w, build_s) = build_workload(workload)?;
                 let cfg = CoSimConfig::sampled(*interval_s, *slice_cycles, *steps);
                 let trace = dtm::run_variant_scaled(
                     *variant,
@@ -217,6 +219,7 @@ impl ShardTask {
                         ("rf_top_die".into(), trace.rf_top_die()),
                     ],
                     timings: vec![
+                        ("build_s".into(), build_s),
                         ("sim_wall_s".into(), trace.report.sim_wall_s),
                         ("solver_wall_s".into(), trace.report.solver_wall_s),
                     ],
@@ -237,6 +240,19 @@ impl ShardTask {
             }
         }
     }
+}
+
+/// Runs `f`, returning its result and its wall-clock seconds.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t0 = Instant::now();
+    let out = f();
+    (out, t0.elapsed().as_secs_f64())
+}
+
+/// Builds the named workload, timing the build.
+fn build_workload(name: &str) -> Result<(Workload, f64), String> {
+    let (w, build_s) = timed(|| workload_by_name(name));
+    Ok((w.ok_or_else(|| format!("unknown workload {name:?}"))?, build_s))
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -739,12 +755,16 @@ pub fn run_sweep(
         let path = shards_dir.join(format!("{}.json", sanitize_id(&shard.id)));
         let write_err = write_durable(&path, &record.to_json()).err();
         match record.status {
-            ShardStatus::Done => telemetry.emit(&[
-                str_pair("event", "shard_done"),
-                str_pair("shard", &shard.id),
-                raw_pair("attempts", format!("{attempts}")),
-                raw_pair("wall_s", json::num(wall_s)),
-            ]),
+            ShardStatus::Done => {
+                let mut line = vec![
+                    str_pair("event", "shard_done"),
+                    str_pair("shard", &shard.id),
+                    raw_pair("attempts", format!("{attempts}")),
+                    raw_pair("wall_s", json::num(wall_s)),
+                ];
+                line.extend(record.timings.iter().map(|(k, v)| raw_pair(k, json::num(*v))));
+                telemetry.emit(&line)
+            }
             ShardStatus::Degraded => telemetry.emit(&[
                 str_pair("event", "shard_degraded"),
                 str_pair("shard", &shard.id),

@@ -8,8 +8,8 @@
 
 use crate::{ShardSpec, ShardTask, SweepSpec};
 use th_cosim::PolicyKind;
-use th_workloads::all_workloads;
-use thermal_herding::experiments::fig10::worst_case_candidates;
+use th_workloads::workload_names;
+use thermal_herding::experiments::fig10::WORST_CASE_CANDIDATES;
 use thermal_herding::Variant;
 
 /// Default per-core instruction budget for the chip-run presets.
@@ -22,13 +22,12 @@ pub const DTM_CAP_K: f64 = 376.0;
 
 /// The Figure 8 grid: every workload × the five design points.
 pub fn fig8(budget: u64) -> SweepSpec {
-    let shards = all_workloads()
-        .iter()
-        .flat_map(|w| {
-            Variant::figure8().iter().map(|&variant| ShardSpec {
-                id: format!("fig8/{}/{}", w.name, variant.label()),
+    let shards = workload_names()
+        .flat_map(|name| {
+            Variant::figure8().iter().map(move |&variant| ShardSpec {
+                id: format!("fig8/{name}/{}", variant.label()),
                 task: ShardTask::ChipRun {
-                    workload: w.name.to_string(),
+                    workload: name.to_string(),
                     variant,
                     budget,
                 },
@@ -42,13 +41,12 @@ pub fn fig8(budget: u64) -> SweepSpec {
 /// 3D with herding}.
 pub fn fig9(budget: u64) -> SweepSpec {
     let variants = [Variant::Base, Variant::ThreeDNoTh, Variant::ThreeD];
-    let shards = all_workloads()
-        .iter()
-        .flat_map(|w| {
-            variants.iter().map(|&variant| ShardSpec {
-                id: format!("fig9/{}/{}", w.name, variant.label()),
+    let shards = workload_names()
+        .flat_map(|name| {
+            variants.iter().map(move |&variant| ShardSpec {
+                id: format!("fig9/{name}/{}", variant.label()),
                 task: ShardTask::ChipRun {
-                    workload: w.name.to_string(),
+                    workload: name.to_string(),
                     variant,
                     budget,
                 },
@@ -66,10 +64,10 @@ pub fn fig10(budget: u64, rows: usize) -> SweepSpec {
     let shards = variants
         .iter()
         .flat_map(|&variant| {
-            worst_case_candidates().into_iter().map(move |w| ShardSpec {
-                id: format!("fig10/{}/{}", w.name, variant.label()),
+            WORST_CASE_CANDIDATES.iter().map(move |&name| ShardSpec {
+                id: format!("fig10/{name}/{}", variant.label()),
                 task: ShardTask::ThermalRun {
-                    workload: w.name.to_string(),
+                    workload: name.to_string(),
                     variant,
                     budget,
                     rows,
@@ -201,12 +199,36 @@ mod tests {
 
     #[test]
     fn grid_sizes_match_the_experiments() {
-        let n = all_workloads().len();
+        let n = workload_names().len();
         assert_eq!(fig8(1000).shards.len(), 5 * n);
         assert_eq!(fig9(1000).shards.len(), 3 * n);
-        assert_eq!(fig10(1000, 8).shards.len(), 3 * worst_case_candidates().len());
         assert_eq!(dtm().shards.len(), 6);
         assert_eq!(dtm_smoke().shards.len(), 1);
+    }
+
+    #[test]
+    fn fig10_shard_ids_are_pinned() {
+        let ids: Vec<String> = fig10(1000, 8).shards.into_iter().map(|s| s.id).collect();
+        assert_eq!(
+            ids,
+            [
+                "fig10/mpeg2-like/Base",
+                "fig10/susan-like/Base",
+                "fig10/yacr2-like/Base",
+                "fig10/crafty-like/Base",
+                "fig10/gzip-like/Base",
+                "fig10/mpeg2-like/3D-noTH",
+                "fig10/susan-like/3D-noTH",
+                "fig10/yacr2-like/3D-noTH",
+                "fig10/crafty-like/3D-noTH",
+                "fig10/gzip-like/3D-noTH",
+                "fig10/mpeg2-like/3D",
+                "fig10/susan-like/3D",
+                "fig10/yacr2-like/3D",
+                "fig10/crafty-like/3D",
+                "fig10/gzip-like/3D",
+            ]
+        );
     }
 
     #[test]

@@ -282,3 +282,32 @@ fn telemetry_lines_all_parse_and_bracket_the_run() {
     let dones = events.iter().filter(|(e, _)| e == "shard_done").count();
     assert_eq!(dones, spec.shards.len());
 }
+
+#[test]
+fn thermal_shard_done_line_carries_its_phase_timings() {
+    let dir = RunDir::new("phase-timings");
+    let spec = SweepSpec {
+        name: "phase-timings".into(),
+        shards: vec![ShardSpec {
+            id: "thermal/gzip-like/Base".into(),
+            task: ShardTask::ThermalRun {
+                workload: "gzip-like".into(),
+                variant: Variant::Base,
+                budget: 5_000,
+                rows: 8,
+            },
+        }],
+    };
+    let outcome = run_sweep(&spec, &dir.0, &fast_opts(), &Pool::new(1)).expect("sweep completes");
+    let record = &outcome.records[0];
+    let events = telemetry_events(&dir.0);
+    let done = events.iter().find(|(e, _)| e == "shard_done").map(|(_, v)| v).expect("done");
+    assert!(done.get("wall_s").and_then(Json::as_f64).is_some(), "wall_s stays numeric");
+    for key in ["build_s", "sim_s", "solve_s"] {
+        let logged = done.get(key).and_then(Json::as_f64).unwrap_or_else(|| panic!("no {key}"));
+        assert!(logged >= 0.0, "{key} = {logged}");
+        assert_eq!(Some(logged.to_bits()), record.timing(key).map(f64::to_bits), "{key}");
+    }
+    // Timings are telemetry: the deterministic metrics carry none of them.
+    assert!(record.metrics.iter().all(|(k, _)| !k.ends_with("_s")));
+}

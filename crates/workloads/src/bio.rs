@@ -9,14 +9,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use th_isa::{Assembler, Reg};
 
-pub(crate) fn workloads() -> Vec<Workload> {
-    vec![blast_like(), swalign_like(), hmmer_like()]
-}
-
 /// `hmmer`-like: profile-HMM Viterbi scoring — per sequence position,
 /// take the max over match/delete transitions with small log-odds scores.
 /// Compute-bound with two data-dependent selects per cell.
-fn hmmer_like() -> Workload {
+pub(crate) fn hmmer_like() -> Workload {
     let mut a = Assembler::new(0x1000);
     let mut rng = StdRng::seed_from_u64(0x68_6d_6d);
     let states = 64usize;
@@ -94,7 +90,7 @@ fn hmmer_like() -> Workload {
 
 /// `blast`-like seed matching: slide an 8-mer over a DNA sequence using a
 /// rolling 2-bit-packed code and count exact seed hits.
-fn blast_like() -> Workload {
+pub(crate) fn blast_like() -> Workload {
     let mut a = Assembler::new(0x1000);
     let mut rng = StdRng::seed_from_u64(0x62_6c_61);
     let n = 30_000usize;
@@ -144,7 +140,7 @@ fn blast_like() -> Workload {
 /// Smith-Waterman-like local alignment: the DP inner loop with
 /// match/mismatch scoring and a max-with-zero clamp — 16-bit scores,
 /// three data-dependent selects per cell.
-fn swalign_like() -> Workload {
+pub(crate) fn swalign_like() -> Workload {
     let mut a = Assembler::new(0x1000);
     let mut rng = StdRng::seed_from_u64(0x73_77_61);
     let qlen = 48usize;

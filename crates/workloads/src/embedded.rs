@@ -8,13 +8,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use th_isa::{Assembler, Reg};
 
-pub(crate) fn workloads() -> Vec<Workload> {
-    vec![susan_like(), patricia_like(), dijkstra_like()]
-}
-
 /// `susan`-smoothing-like: 3×1 box filter over an 8-bit image —
 /// computation-intensive byte processing with an L1-resident window.
-fn susan_like() -> Workload {
+pub(crate) fn susan_like() -> Workload {
     let mut a = Assembler::new(0x1000);
     let mut rng = StdRng::seed_from_u64(0x73_75_73);
     let w = 128usize;
@@ -58,7 +54,7 @@ fn susan_like() -> Workload {
 /// `patricia`-like: longest-prefix routing lookups in a bit trie. The
 /// trie is cache-resident; each lookup is a short chain of dependent
 /// loads and bit tests — branchy, high-frequency control flow.
-fn patricia_like() -> Workload {
+pub(crate) fn patricia_like() -> Workload {
     let mut a = Assembler::new(0x1000);
     let mut rng = StdRng::seed_from_u64(0x70_61_74);
     // Trie nodes: [left, right] child indices (0 = leaf/end), 1023 nodes.
@@ -117,7 +113,7 @@ fn patricia_like() -> Workload {
 
 /// `dijkstra`-like: repeated relaxation sweeps over a dense adjacency
 /// matrix — regular loads and compare-branches on small integers.
-fn dijkstra_like() -> Workload {
+pub(crate) fn dijkstra_like() -> Workload {
     let mut a = Assembler::new(0x1000);
     let mut rng = StdRng::seed_from_u64(0x64_69_6a);
     let n = 96usize;

@@ -97,16 +97,46 @@ pub struct Workload {
     pub inst_budget: u64,
 }
 
+/// Builds one kernel.
+type Constructor = fn() -> Workload;
+
+/// The registry: every kernel's name and constructor, in Figure 8's
+/// suite order. Lookups call only the matching constructor, so asking
+/// for one kernel never builds the others (`mcf-like`'s 16 MB image
+/// dominates a full build).
+const REGISTRY: [(&str, Constructor); 22] = [
+    ("gzip-like", specint::gzip_like),
+    ("gcc-like", specint::gcc_like),
+    ("mcf-like", specint::mcf_like),
+    ("crafty-like", specint::crafty_like),
+    ("parser-like", specint::parser_like),
+    ("swim-like", specfp::swim_like),
+    ("art-like", specfp::art_like),
+    ("equake-like", specfp::equake_like),
+    ("mpeg2-like", media::mpeg2_like),
+    ("adpcm-like", media::adpcm_like),
+    ("jpeg-like", media::jpeg_like),
+    ("gsm-like", media::gsm_like),
+    ("susan-like", embedded::susan_like),
+    ("patricia-like", embedded::patricia_like),
+    ("dijkstra-like", embedded::dijkstra_like),
+    ("yacr2-like", pointer::yacr2_like),
+    ("treeadd-like", pointer::treeadd_like),
+    ("bisort-like", pointer::bisort_like),
+    ("perimeter-like", pointer::perimeter_like),
+    ("blast-like", bio::blast_like),
+    ("swalign-like", bio::swalign_like),
+    ("hmmer-like", bio::hmmer_like),
+];
+
+/// Every workload name in registry order, without building anything.
+pub fn workload_names() -> impl ExactSizeIterator<Item = &'static str> {
+    REGISTRY.iter().map(|&(name, _)| name)
+}
+
 /// Builds every workload in the registry.
 pub fn all_workloads() -> Vec<Workload> {
-    let mut v = Vec::new();
-    v.extend(specint::workloads());
-    v.extend(specfp::workloads());
-    v.extend(media::workloads());
-    v.extend(embedded::workloads());
-    v.extend(pointer::workloads());
-    v.extend(bio::workloads());
-    v
+    REGISTRY.iter().map(|&(_, build)| build()).collect()
 }
 
 /// Builds the workloads of one suite.
@@ -116,7 +146,7 @@ pub fn suite_workloads(suite: Suite) -> Vec<Workload> {
 
 /// Builds a single workload by name.
 pub fn workload_by_name(name: &str) -> Option<Workload> {
-    all_workloads().into_iter().find(|w| w.name == name)
+    REGISTRY.iter().find(|&&(n, _)| n == name).map(|&(_, build)| build())
 }
 
 #[cfg(test)]
@@ -165,9 +195,47 @@ mod tests {
     }
 
     #[test]
+    fn registry_order_is_pinned() {
+        // Figure 8 rows and preset shard ids follow this order.
+        let names: Vec<_> = all_workloads().iter().map(|w| w.name).collect();
+        assert_eq!(
+            names,
+            [
+                "gzip-like",
+                "gcc-like",
+                "mcf-like",
+                "crafty-like",
+                "parser-like",
+                "swim-like",
+                "art-like",
+                "equake-like",
+                "mpeg2-like",
+                "adpcm-like",
+                "jpeg-like",
+                "gsm-like",
+                "susan-like",
+                "patricia-like",
+                "dijkstra-like",
+                "yacr2-like",
+                "treeadd-like",
+                "bisort-like",
+                "perimeter-like",
+                "blast-like",
+                "swalign-like",
+                "hmmer-like",
+            ]
+        );
+        assert!(workload_names().eq(names));
+    }
+
+    #[test]
     fn lookup_by_name() {
-        assert!(workload_by_name("mcf-like").is_some());
+        for name in workload_names() {
+            assert_eq!(workload_by_name(name).unwrap().name, name);
+        }
         assert!(workload_by_name("nonexistent").is_none());
+        assert!(workload_by_name("").is_none());
+        assert!(workload_by_name("mcf").is_none());
     }
 
     #[test]

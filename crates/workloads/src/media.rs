@@ -8,14 +8,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use th_isa::{Assembler, Reg};
 
-pub(crate) fn workloads() -> Vec<Workload> {
-    vec![mpeg2_like(), adpcm_like(), jpeg_like(), gsm_like()]
-}
-
 /// `gsm`-like: LPC short-term analysis filtering — an 8-tap
 /// multiply-accumulate lattice over 16-bit speech samples with
 /// saturation checks. Pure 16-bit compute, tiny working set.
-fn gsm_like() -> Workload {
+pub(crate) fn gsm_like() -> Workload {
     let mut a = Assembler::new(0x1000);
     let mut rng = StdRng::seed_from_u64(0x67_73_6d);
     let n = 6_000usize;
@@ -105,7 +101,7 @@ fn gsm_like() -> Workload {
 
 /// `mpeg2`-encode-like: 1-D 8-point integer DCT butterflies applied to
 /// every row of 8×8 pixel blocks — compute-bound, high-ILP, 16-bit data.
-fn mpeg2_like() -> Workload {
+pub(crate) fn mpeg2_like() -> Workload {
     let mut a = Assembler::new(0x1000);
     let mut rng = StdRng::seed_from_u64(0x6d_70_67);
     // A cache-resident frame slice processed repeatedly (motion search
@@ -177,7 +173,7 @@ fn mpeg2_like() -> Workload {
 
 /// `adpcm`-like: adaptive step-size speech coder — byte samples, a
 /// data-dependent branch per sample, tiny working set.
-fn adpcm_like() -> Workload {
+pub(crate) fn adpcm_like() -> Workload {
     let mut a = Assembler::new(0x1000);
     let mut rng = StdRng::seed_from_u64(0x61_64_70);
     let n = 20_000usize;
@@ -233,7 +229,7 @@ fn adpcm_like() -> Workload {
 
 /// `jpeg`-like: coefficient quantisation — multiply/shift on 16-bit data
 /// against a 64-entry quantisation table.
-fn jpeg_like() -> Workload {
+pub(crate) fn jpeg_like() -> Workload {
     let mut a = Assembler::new(0x1000);
     let mut rng = StdRng::seed_from_u64(0x6a_70_67);
     // An L1/L2-resident coefficient batch re-quantised at several quality

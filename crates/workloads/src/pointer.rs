@@ -9,15 +9,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use th_isa::{Assembler, Reg};
 
-pub(crate) fn workloads() -> Vec<Workload> {
-    vec![yacr2_like(), treeadd_like(), bisort_like(), perimeter_like()]
-}
-
 /// `perimeter`-like: quadtree boundary walk — an L2-resident pointer
 /// chase interleaved with per-node boundary arithmetic. Its performance
 /// is L2-latency-sensitive, so it gains the most from the 3D pipeline's
 /// faster L2 (the analogue of the paper's 77 % best case).
-fn perimeter_like() -> Workload {
+pub(crate) fn perimeter_like() -> Workload {
     let mut a = Assembler::new(0x1000);
     let mut rng = StdRng::seed_from_u64(0x70_65_72);
     // A shuffled ring of 8K nodes (64 KB — misses the L1, lives in the
@@ -70,7 +66,7 @@ fn perimeter_like() -> Workload {
 /// `yacr2`-like: channel-routing constraint scans — streaming passes over
 /// multi-megabyte track arrays holding full-width packed records, with a
 /// data-dependent update per element.
-fn yacr2_like() -> Workload {
+pub(crate) fn yacr2_like() -> Workload {
     let mut a = Assembler::new(0x1000);
     let mut rng = StdRng::seed_from_u64(0x79_61_63);
     let n = 512 * 1024usize; // 4 MB of packed constraint records
@@ -110,7 +106,7 @@ fn yacr2_like() -> Workload {
 
 /// `treeadd`-like: sum a pointer-linked binary tree with an explicit
 /// stack — dependent loads over a shuffled 384 KB heap of nodes, traversed three times.
-fn treeadd_like() -> Workload {
+pub(crate) fn treeadd_like() -> Workload {
     let mut a = Assembler::new(0x1000);
     let mut rng = StdRng::seed_from_u64(0x74_72_65);
     // Nodes: [left_ptr, right_ptr, value] × 2^15, laid out in *shuffled*
@@ -182,7 +178,7 @@ fn treeadd_like() -> Workload {
 /// `bisort`-like: in-place bitonic-style compare-exchange passes over a
 /// linked sequence of keys — pointer arithmetic plus unpredictable
 /// compare branches.
-fn bisort_like() -> Workload {
+pub(crate) fn bisort_like() -> Workload {
     let mut a = Assembler::new(0x1000);
     let mut rng = StdRng::seed_from_u64(0x62_69_73);
     let n = 8_192usize;

@@ -8,13 +8,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use th_isa::{Assembler, Reg};
 
-pub(crate) fn workloads() -> Vec<Workload> {
-    vec![swim_like(), art_like(), equake_like()]
-}
-
 /// `swim`-like: a 1-D three-point stencil swept over a 2 MB f64 field —
 /// streaming FP with every line touched once.
-fn swim_like() -> Workload {
+pub(crate) fn swim_like() -> Workload {
     let mut a = Assembler::new(0x1000);
     let mut rng = StdRng::seed_from_u64(0x73_77_69);
     let n = 256 * 1024usize; // 2 MB
@@ -59,7 +55,7 @@ fn swim_like() -> Workload {
 
 /// `art`-like: repeated dot products against an L2-resident weight matrix
 /// (neural-network F1 layer) — FP compute with L1-miss traffic.
-fn art_like() -> Workload {
+pub(crate) fn art_like() -> Workload {
     let mut a = Assembler::new(0x1000);
     let mut rng = StdRng::seed_from_u64(0x61_72_74);
     let neurons = 64usize;
@@ -120,7 +116,7 @@ fn art_like() -> Workload {
 
 /// `equake`-like: sparse matrix-vector product — indirect integer indexing
 /// feeding FP accumulation, with a 4 MB-class combined working set.
-fn equake_like() -> Workload {
+pub(crate) fn equake_like() -> Workload {
     let mut a = Assembler::new(0x1000);
     let mut rng = StdRng::seed_from_u64(0x65_71_75);
     let nnz = 16_000usize;

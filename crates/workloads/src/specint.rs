@@ -6,13 +6,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use th_isa::{Assembler, Reg};
 
-pub(crate) fn workloads() -> Vec<Workload> {
-    vec![gzip_like(), gcc_like(), mcf_like(), crafty_like(), parser_like()]
-}
-
 /// `parser`-like: dictionary hash-table probing — an L1-resident table,
 /// short dependence chains, data-dependent hit/miss branches.
-fn parser_like() -> Workload {
+pub(crate) fn parser_like() -> Workload {
     let mut a = Assembler::new(0x1000);
     let mut rng = StdRng::seed_from_u64(0x70_61_72);
     let table_entries = 2_048usize;
@@ -63,7 +59,7 @@ fn parser_like() -> Workload {
 ///
 /// Byte-granular data makes nearly every value low-width; the 64 KB text
 /// streams through the L1 while the histogram stays resident.
-fn gzip_like() -> Workload {
+pub(crate) fn gzip_like() -> Workload {
     let mut a = Assembler::new(0x1000);
     let mut rng = StdRng::seed_from_u64(0x67_7a_69_70);
     // Skewed byte distribution, like real text.
@@ -105,7 +101,7 @@ fn gzip_like() -> Workload {
 
 /// `gcc`-like: interpret a pseudo-IR stream with a compare-branch opcode
 /// switch — branchy integer code with a mid-size table working set.
-fn gcc_like() -> Workload {
+pub(crate) fn gcc_like() -> Workload {
     let mut a = Assembler::new(0x1000);
     let mut rng = StdRng::seed_from_u64(0x67_63_63);
     // IR: (opcode in 0..4, operand) pairs, packed as u64s.
@@ -170,7 +166,7 @@ fn gcc_like() -> Workload {
 /// `mcf`-like: serialized pointer chasing across a 16 MB permutation —
 /// the archetypal DRAM-latency-bound workload (the paper's 7 % minimum
 /// speedup case).
-fn mcf_like() -> Workload {
+pub(crate) fn mcf_like() -> Workload {
     let mut a = Assembler::new(0x1000);
     let mut rng = StdRng::seed_from_u64(0x6d_63_66);
     // A single-cycle random permutation (Sattolo's algorithm) so the
@@ -209,7 +205,7 @@ fn mcf_like() -> Workload {
 
 /// `crafty`-like: chess bitboard evaluation — full-width 64-bit masks,
 /// parallel popcounts, high ILP, cache-resident (the paper's 65 % case).
-fn crafty_like() -> Workload {
+pub(crate) fn crafty_like() -> Workload {
     let mut a = Assembler::new(0x1000);
     let mut rng = StdRng::seed_from_u64(0x63_72_61);
     let masks: Vec<u64> = (0..256).map(|_| rng.gen()).collect();
