@@ -16,6 +16,10 @@ cargo test -q --release
 # must be clippy-clean.
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Doc gate: the workspace documents warning-free, so a deleted item can
+# never leave a dangling intra-doc link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # The sweep-path benchmark is a separate package that links the
 # workspace crates by path: an API change must not silently break its
 # build or its unit tests.
@@ -88,25 +92,6 @@ if ! awk -v old="$old" -v new="$new" 'BEGIN {
     exit ratio > 1.5 ? 1 : 0
 }'; then
     echo "ci.sh: FAIL - closed-loop co-simulation time regressed more than 1.5x" >&2
-    exit 1
-fi
-
-# Herding guard: the fresh report's *measured* (activity-ledger) top-die
-# register-file fraction must not drop below what the modeled
-# reconstruction claims — if it does, either the ledger lost recording
-# sites or herding stopped steering accesses to the top die.
-rf_line=$(grep -o '"unit": "RegFile[^}]*' "$guard_dir/BENCH_pipeline.json" | head -1)
-measured=$(echo "$rf_line" | grep -o '"measured_top_die": *[0-9.]*' | grep -o '[0-9.]*$')
-modeled=$(echo "$rf_line" | grep -o '"modeled_top_die": *[0-9.]*' | grep -o '[0-9.]*$')
-if [ -z "$measured" ] || [ -z "$modeled" ]; then
-    echo "ci.sh: FAIL - herding block missing from BENCH_pipeline.json" >&2
-    exit 1
-fi
-if ! awk -v m="$measured" -v o="$modeled" 'BEGIN {
-    printf "herding guard: RF top-die %.1f%% measured vs %.1f%% modeled\n", 100*m, 100*o
-    exit m + 0.005 < o ? 1 : 0
-}'; then
-    echo "ci.sh: FAIL - measured RF top-die fraction fell below the modeled baseline" >&2
     exit 1
 fi
 

@@ -218,36 +218,19 @@ fn main() {
     .unwrap();
 
     // Herding payoff, measured: the peak-power workload under the full
-    // 3D design, priced from the activity ledger and from the modeled
-    // reconstruction. Records the dynamic-watts delta between the two
-    // sources and the per-unit top-die power fractions from each — the
-    // numbers ci.sh guards (measured RF concentration must never drop
-    // below what the model claims). Stays off the orchestrator: it needs
-    // the run's full SimStats, not a shard summary.
+    // 3D design, priced from its activity ledger, with the per-unit
+    // top-die power fractions of every width-partitioned unit. Stays off
+    // the orchestrator: it needs the run's full SimStats, not a shard
+    // summary.
     let w = workload_by_name("mpeg2-like").expect("known workload");
     eprintln!("measuring herding top-die fractions ({})...", w.name);
     let run = thermal_herding::run_chip(Variant::ThreeD, &w, budget).expect("herding run");
-    let model = th_power::PowerModel::new();
-    let mut ledger_cfg = run.variant.power_config();
-    ledger_cfg.activity = th_power::ActivitySource::Ledger;
-    let mut modeled_cfg = ledger_cfg;
-    modeled_cfg.activity = th_power::ActivitySource::Modeled;
-    let ledger_w = model.compute(&run.chip_stats, run.cycles(), &ledger_cfg).dynamic_w();
-    let modeled_w = model.compute(&run.chip_stats, run.cycles(), &modeled_cfg).dynamic_w();
-    let delta_frac = (ledger_w - modeled_w).abs() / modeled_w;
-    let measured =
-        th_power::DieFractionTable::new(&run.chip_stats, model.energies(), &ledger_cfg);
-    let modeled =
-        th_power::DieFractionTable::new(&run.chip_stats, model.energies(), &modeled_cfg);
-    println!(
-        "herding: dynamic {ledger_w:.2} W ledger vs {modeled_w:.2} W modeled \
-         ({:.1}% apart)",
-        100.0 * delta_frac
-    );
+    let ledger_w = run.power.dynamic_w();
+    let measured = run.die_table();
+    println!("herding: dynamic {ledger_w:.2} W from the activity ledger");
     writeln!(
         json,
         "  \"herding\": {{\"workload\": \"{}\", \"ledger_dynamic_w\": {ledger_w:.4}, \
-         \"modeled_dynamic_w\": {modeled_w:.4}, \"delta_frac\": {delta_frac:.4}, \
          \"units\": [",
         w.name
     )
@@ -259,13 +242,11 @@ fn main() {
         .collect();
     for (i, &unit) in herded.iter().enumerate() {
         let m = measured.fractions(unit)[0];
-        let o = modeled.fractions(unit)[0];
-        println!("  {:<10} top-die {:.1}% measured, {:.1}% modeled", unit.label(), 100.0 * m, 100.0 * o);
+        println!("  {:<10} top-die {:.1}% measured", unit.label(), 100.0 * m);
         let comma = if i + 1 < herded.len() { "," } else { "" };
         writeln!(
             json,
-            "    {{\"unit\": \"{}\", \"measured_top_die\": {m:.4}, \
-             \"modeled_top_die\": {o:.4}}}{comma}",
+            "    {{\"unit\": \"{}\", \"measured_top_die\": {m:.4}}}{comma}",
             unit.label()
         )
         .unwrap();

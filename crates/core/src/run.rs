@@ -44,9 +44,8 @@ impl ChipResult {
         self.core_stats.cycles
     }
 
-    /// The run's per-unit die-fraction table — measured activity-ledger
-    /// rows when the run recorded them, the modeled reconstruction
-    /// otherwise.
+    /// The run's per-unit die-fraction table, from its measured
+    /// activity-ledger rows.
     pub fn die_table(&self) -> DieFractionTable {
         let model = PowerModel::new();
         DieFractionTable::new(&self.chip_stats, model.energies(), &self.variant.power_config())

@@ -369,8 +369,8 @@ impl<'a> CoSimulator<'a> {
         let (rows, cols, w_m, h_m) = self.grid;
         let mut grids: Vec<PowerGrid> =
             (0..self.dies).map(|_| PowerGrid::new(rows, cols, w_m, h_m)).collect();
-        // One fraction table per interval: measured ledger rows (or the
-        // modeled reconstruction) are resolved once, not per paint slot.
+        // One fraction table per interval: measured ledger rows are
+        // resolved once, not per paint slot.
         let table = DieFractionTable::new(&chip, self.model.energies(), &self.pcfg);
         for s in &self.slots {
             let fractions = table.fractions(s.unit);

@@ -60,8 +60,7 @@ pub struct CoSimReport {
     /// unit; the clock network carries none).
     pub unit_leakage_w: Vec<(Unit, f64)>,
     /// Per-unit top-die power fraction over the whole run, measured from
-    /// the cumulative activity ledger (modeled reconstruction if the run
-    /// recorded none).
+    /// the cumulative activity ledger.
     pub unit_top_die: Vec<(Unit, f64)>,
     /// Wall-clock seconds spent inside the cycle simulator.
     pub sim_wall_s: f64,

@@ -2,17 +2,16 @@
 //! thermal model consumes.
 
 use crate::energy::EnergyTable;
-use crate::model::{unit_activity, ActivitySource, PowerConfig, UnitActivity};
+use crate::model::PowerConfig;
 use th_sim::SimStats;
 use th_stack3d::{Unit, DIES};
 
 /// Per-unit die fractions for one run, computed once and read many times.
 ///
 /// Building the table resolves every unit's vertical power split in a
-/// single pass (one `unit_activity` evaluation on the modeled path, one
-/// ledger read per unit on the measured path); consumers that paint many
+/// single pass (one ledger-row read per unit); consumers that paint many
 /// placements or price every interval query rows for free instead of
-/// re-deriving the whole activity vector per unit.
+/// re-deriving the split per unit.
 #[derive(Clone, Debug)]
 pub struct DieFractionTable {
     rows: [[f64; DIES]; Unit::COUNT],
@@ -45,14 +44,6 @@ impl DieFractionTable {
         }
 
         let even = [0.25; DIES];
-        // One activity evaluation for the whole table (the modeled path
-        // previously rebuilt the full vector per queried unit).
-        let source = cfg.resolve_activity(stats);
-        let modeled_acts = match source {
-            ActivitySource::Modeled => Some(unit_activity(stats, true)),
-            ActivitySource::Ledger => None,
-        };
-
         let mut rows = [even; Unit::COUNT];
         for &unit in Unit::all() {
             rows[unit.index()] = match unit {
@@ -60,17 +51,7 @@ impl DieFractionTable {
                 Unit::Bpred => [0.35, 0.35, 0.15, 0.15],
                 Unit::Rename => [0.40, 0.20, 0.20, 0.20],
                 _ if unit.is_width_partitioned() || unit == Unit::Btb => {
-                    match (&modeled_acts, source) {
-                        (Some(acts), _) => {
-                            let act = acts
-                                .iter()
-                                .find(|(u, _)| *u == unit)
-                                .map(|&(_, a)| a)
-                                .unwrap_or_default();
-                            modeled_split(unit, act, energies)
-                        }
-                        (None, _) => ledger_fractions(unit, stats, energies),
-                    }
+                    ledger_fractions(unit, stats, energies)
                 }
                 _ => even,
             };
@@ -109,38 +90,18 @@ impl DieFractionTable {
 
 /// Entry-*residency* per die, not allocation counts: a waiting entry
 /// keeps its comparators matching every broadcast cycle, so power follows
-/// occupancy time (falling back to allocation counts if residency was not
-/// recorded).
+/// occupancy time.
 fn scheduler_fractions(stats: &SimStats) -> [f64; DIES] {
-    let residency: u64 = stats.rs_occupancy_cycles_per_die.iter().sum();
-    let counts = if residency > 0 {
-        stats.rs_occupancy_cycles_per_die
-    } else {
-        stats.rs_allocs_per_die
-    };
-    let total: u64 = counts.iter().sum();
+    let residency = stats.rs_occupancy_cycles_per_die;
+    let total: u64 = residency.iter().sum();
     if total == 0 {
         return [0.25; DIES];
     }
     let mut f = [0.0; DIES];
-    for (fr, n) in f.iter_mut().zip(counts) {
+    for (fr, n) in f.iter_mut().zip(residency) {
         *fr = n as f64 / total as f64;
     }
     f
-}
-
-/// Energy-weighted split from the modeled low/full reconstruction: gated
-/// accesses burn entirely on die 0; full accesses spread evenly.
-fn modeled_split(unit: Unit, act: UnitActivity, energies: &EnergyTable) -> [f64; DIES] {
-    let full_e = act.full * energies.e3d_pj(unit);
-    let low_e = act.low * energies.e3d_low_pj(unit);
-    let total = full_e + low_e;
-    if total <= 0.0 {
-        return [0.25; DIES];
-    }
-    let top = (low_e + 0.25 * full_e) / total;
-    let rest = (1.0 - top) / 3.0;
-    [top, rest, rest, rest]
 }
 
 /// Energy-weighted split straight from the measured ledger row: each
@@ -164,18 +125,6 @@ fn ledger_fractions(unit: Unit, stats: &SimStats, energies: &EnergyTable) -> [f6
         *fr = e / total;
     }
     f
-}
-
-/// How one unit's power distributes over the four dies. Thin wrapper
-/// building a [`DieFractionTable`] for a single query — callers that need
-/// more than one unit should build the table once instead.
-pub fn die_fractions(
-    unit: Unit,
-    stats: &SimStats,
-    energies: &EnergyTable,
-    cfg: &PowerConfig,
-) -> [f64; 4] {
-    DieFractionTable::new(stats, energies, cfg).fractions(unit)
 }
 
 /// Sanity helper: the top-die share of total dynamic power, given a full
@@ -206,51 +155,47 @@ mod tests {
     use crate::model::PowerModel;
     use th_stack3d::ActivityMatrix;
 
+    /// A herded run's measured ledger (mostly gated accesses on the top
+    /// die) plus scheduler entry residency concentrated on die 0.
     fn herded_stats() -> SimStats {
+        let mut activity = ActivityMatrix::new();
+        for (unit, low, full) in [
+            (Unit::RegFile, 2400, 300),
+            (Unit::IntExec, 1500, 200),
+            (Unit::Bypass, 1500, 200),
+        ] {
+            activity.add_low(unit, 0, low);
+            activity.add_full(unit, full);
+        }
         SimStats {
             cycles: 1000,
-            rf_reads_low: 1600,
-            rf_reads_full: 200,
-            rf_writes_low: 800,
-            rf_writes_full: 100,
-            int_ops_low: 1500,
-            int_ops_full: 200,
-            bypass_low: 1500,
-            bypass_full: 200,
-            rs_allocs_per_die: [1800, 150, 40, 10],
-            dispatched: 2000,
-            width_pred: th_width::WidthPredictStats {
-                predictions: 2000,
-                correct_low: 1700,
-                correct_full: 250,
-                unsafe_mispredictions: 20,
-                safe_mispredictions: 30,
-            },
+            rs_occupancy_cycles_per_die: [1800, 150, 40, 10],
+            activity,
             ..Default::default()
         }
     }
 
+    fn table(stats: &SimStats, cfg: &PowerConfig) -> DieFractionTable {
+        DieFractionTable::new(stats, &EnergyTable::new(), cfg)
+    }
+
     #[test]
     fn planar_is_single_die() {
-        let cfg = PowerConfig::planar(2.66);
-        let f = die_fractions(Unit::RegFile, &herded_stats(), &EnergyTable::new(), &cfg);
-        assert_eq!(f, [1.0, 0.0, 0.0, 0.0]);
+        let t = table(&herded_stats(), &PowerConfig::planar(2.66));
+        assert_eq!(t.fractions(Unit::RegFile), [1.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]
     fn plain_3d_is_uniform() {
-        let cfg = PowerConfig::three_d(3.93, false);
-        let f = die_fractions(Unit::RegFile, &herded_stats(), &EnergyTable::new(), &cfg);
-        assert_eq!(f, [0.25; 4]);
+        let t = table(&herded_stats(), &PowerConfig::three_d(3.93, false));
+        assert_eq!(t.fractions(Unit::RegFile), [0.25; 4]);
     }
 
     #[test]
     fn herding_biases_partitioned_units_to_the_top() {
-        let cfg = PowerConfig::three_d(3.93, true);
-        let stats = herded_stats();
-        let table = EnergyTable::new();
+        let t = table(&herded_stats(), &PowerConfig::three_d(3.93, true));
         for unit in [Unit::RegFile, Unit::IntExec, Unit::Bypass] {
-            let f = die_fractions(unit, &stats, &table, &cfg);
+            let f = t.fractions(unit);
             assert!(f[0] > 0.5, "{unit} top-die share {:.2}", f[0]);
             let sum: f64 = f.iter().sum();
             assert!((sum - 1.0).abs() < 1e-9);
@@ -266,7 +211,7 @@ mod tests {
         ledger.add_low(Unit::RegFile, 0, 300);
         ledger.add_full(Unit::RegFile, 100);
         stats.activity = ledger;
-        let f = die_fractions(Unit::RegFile, &stats, &EnergyTable::new(), &cfg);
+        let f = table(&stats, &cfg).fractions(Unit::RegFile);
         assert!(f[0] > 0.5, "measured top-die share {:.3}", f[0]);
         // The lower three dies carry identical full-access energy.
         assert!((f[1] - f[2]).abs() < 1e-12 && (f[2] - f[3]).abs() < 1e-12);
@@ -274,45 +219,21 @@ mod tests {
     }
 
     #[test]
-    fn empty_ledger_falls_back_to_modeled_split() {
-        let cfg = PowerConfig::three_d(3.93, true);
-        let stats = herded_stats(); // scalar counters only, no ledger
-        assert!(stats.activity.is_empty());
-        let f = die_fractions(Unit::RegFile, &stats, &EnergyTable::new(), &cfg);
-        assert!(f[0] > 0.5, "fallback top-die share {:.2}", f[0]);
-    }
-
-    #[test]
     fn scheduler_follows_allocation() {
-        let cfg = PowerConfig::three_d(3.93, true);
-        let f = die_fractions(Unit::Scheduler, &herded_stats(), &EnergyTable::new(), &cfg);
+        // Entries stay resident on the die they were allocated to; power
+        // follows that residency.
+        let t = table(&herded_stats(), &PowerConfig::three_d(3.93, true));
+        let f = t.fractions(Unit::Scheduler);
         assert!(f[0] > 0.85, "scheduler top-die {:.2}", f[0]);
         assert!(f[3] < 0.02);
     }
 
     #[test]
     fn front_end_arrays_stay_uniform_except_bpred() {
-        let cfg = PowerConfig::three_d(3.93, true);
-        let stats = herded_stats();
-        let table = EnergyTable::new();
-        assert_eq!(die_fractions(Unit::ICache, &stats, &table, &cfg), [0.25; 4]);
-        let bpred = die_fractions(Unit::Bpred, &stats, &table, &cfg);
+        let t = table(&herded_stats(), &PowerConfig::three_d(3.93, true));
+        assert_eq!(t.fractions(Unit::ICache), [0.25; 4]);
+        let bpred = t.fractions(Unit::Bpred);
         assert!(bpred[0] + bpred[1] > 0.6);
-    }
-
-    #[test]
-    fn table_matches_per_unit_queries() {
-        let cfg = PowerConfig::three_d(3.93, true);
-        let stats = herded_stats();
-        let energies = EnergyTable::new();
-        let table = DieFractionTable::new(&stats, &energies, &cfg);
-        for &unit in Unit::all() {
-            assert_eq!(
-                table.fractions(unit),
-                die_fractions(unit, &stats, &energies, &cfg),
-                "{unit} row differs"
-            );
-        }
     }
 
     #[test]

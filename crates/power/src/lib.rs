@@ -4,7 +4,8 @@
 //! energies with MASE-reported activity factors and the clock frequency
 //! (§4): `P = Σ_blocks (accesses × E_access) / t + P_clock + P_leak`.
 //! This crate implements the identical methodology against the activity
-//! counters of `th-sim`:
+//! ledger of `th-sim` — the per-(unit, die) [`th_stack3d::ActivityMatrix`]
+//! the pipeline records at every access site, the only activity source:
 //!
 //! * [`EnergyTable`] — per-access energies for every [`th_stack3d::Unit`] in the 2D
 //!   implementation, with per-unit wire fractions; the 3D energy is
@@ -17,9 +18,11 @@
 //! * Clock network: 35 % of baseline power, scaling with frequency, and
 //!   halved in 3D (§4). Leakage: 20 % of baseline power, unchanged by 3D
 //!   or herding (§4).
-//! * [`die_fractions`] — how each block's power distributes
-//!   over the four dies, from the simulator's width/occupancy statistics;
-//!   this feeds the thermal model.
+//! * [`unit_activity_ledger`] — per-unit full/gated access equivalents
+//!   read straight from the ledger rows.
+//! * [`DieFractionTable`] — how each block's power distributes over the
+//!   four dies, from measured ledger rows and scheduler residency; this
+//!   feeds the thermal model.
 //!
 //! The single global calibration anchor is [`EnergyTable::CALIBRATION`],
 //! chosen so the dual-core `mpeg2`-like baseline dissipates ≈90 W as in
@@ -33,10 +36,7 @@ mod energy;
 mod leakage;
 mod model;
 
-pub use dies::{die_fractions, top_die_share, DieFractionTable};
+pub use dies::{top_die_share, DieFractionTable};
 pub use leakage::{LeakageModel, DEFAULT_DOUBLING_K, DEFAULT_T_REF_K};
 pub use energy::EnergyTable;
-pub use model::{
-    default_activity_source, set_default_activity_source, unit_activity, unit_activity_ledger,
-    ActivitySource, PowerBreakdown, PowerConfig, PowerModel, UnitActivity,
-};
+pub use model::{unit_activity_ledger, PowerBreakdown, PowerConfig, PowerModel, UnitActivity};

@@ -1,55 +1,8 @@
 //! The power computation: activity × energy × frequency.
 
 use crate::energy::EnergyTable;
-use std::sync::atomic::{AtomicU8, Ordering};
 use th_sim::SimStats;
 use th_stack3d::{ActivityMatrix, Unit, DIES};
-
-/// Where per-unit low/full activity comes from when pricing a run.
-///
-/// `Ledger` reads the event-sourced [`ActivityMatrix`] the pipeline
-/// recorded at each access site — the measured path, and the default.
-/// `Modeled` reconstructs the split from aggregate scalar counters via
-/// the width predictor's capture fraction — the original statistical
-/// path, kept as a reference oracle (the scan/event-engine precedent).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ActivitySource {
-    /// Price from the measured per-(unit, die) access ledger.
-    #[default]
-    Ledger,
-    /// Reconstruct gating statistically from scalar counters.
-    Modeled,
-}
-
-/// Process-wide activity-source default: 0 = unset, 1 = ledger, 2 = modeled.
-static DEFAULT_ACTIVITY: AtomicU8 = AtomicU8::new(0);
-
-/// The activity source newly built [`PowerConfig`]s start with.
-///
-/// Resolution order: the last [`set_default_activity_source`] call, then
-/// the `TH_ACTIVITY` environment variable (`ledger` or `modeled`), then
-/// [`ActivitySource::Ledger`].
-pub fn default_activity_source() -> ActivitySource {
-    match DEFAULT_ACTIVITY.load(Ordering::Relaxed) {
-        1 => ActivitySource::Ledger,
-        2 => ActivitySource::Modeled,
-        _ => match std::env::var("TH_ACTIVITY").as_deref() {
-            Ok("modeled") => ActivitySource::Modeled,
-            _ => ActivitySource::Ledger,
-        },
-    }
-}
-
-/// Overrides (or with `None`, resets to the environment/default) the
-/// activity source used by subsequently constructed [`PowerConfig`]s.
-pub fn set_default_activity_source(source: Option<ActivitySource>) {
-    let v = match source {
-        None => 0,
-        Some(ActivitySource::Ledger) => 1,
-        Some(ActivitySource::Modeled) => 2,
-    };
-    DEFAULT_ACTIVITY.store(v, Ordering::Relaxed);
-}
 
 /// Which physical design the activity is priced against.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -69,10 +22,6 @@ pub struct PowerConfig {
     /// Clock-power factor of the 3D implementation (§4: footprint shrinks
     /// 4×, power "conservatively" halved).
     pub clock_3d_factor: f64,
-    /// Where the low/full activity split comes from (measured ledger vs
-    /// the statistical reconstruction). Runs whose statistics carry no
-    /// ledger (hand-built [`SimStats`]) fall back to `Modeled`.
-    pub activity: ActivitySource,
 }
 
 impl PowerConfig {
@@ -85,23 +34,12 @@ impl PowerConfig {
             chip_clock_power_2d_w: 0.35 * 90.0,
             chip_leakage_w: 0.20 * 90.0,
             clock_3d_factor: 0.5,
-            activity: default_activity_source(),
         }
     }
 
     /// 3D configuration (with or without herding).
     pub fn three_d(clock_ghz: f64, herding: bool) -> PowerConfig {
         PowerConfig { three_d: true, herding, ..PowerConfig::planar(clock_ghz) }
-    }
-
-    /// The activity source actually used for `stats`: the configured one,
-    /// except that stats carrying no ledger fall back to the modeled
-    /// reconstruction.
-    pub fn resolve_activity(&self, stats: &SimStats) -> ActivitySource {
-        match self.activity {
-            ActivitySource::Ledger if !stats.activity.is_empty() => ActivitySource::Ledger,
-            _ => ActivitySource::Modeled,
-        }
     }
 }
 
@@ -145,123 +83,14 @@ pub struct UnitActivity {
     pub low: f64,
 }
 
-/// Derives per-unit activity from the simulator counters.
-///
-/// With `herding` false, everything is counted as full-width (no gating);
-/// the width statistics still exist but a planar or plain-3D design
-/// cannot exploit them.
-pub fn unit_activity(stats: &SimStats, herding: bool) -> Vec<(Unit, UnitActivity)> {
-    // Fraction of actually-low-width values the predictor captured
-    // (predicted low): only captured ones are gated.
-    let denom = stats.width_pred.correct_low + stats.width_pred.safe_mispredictions;
-    let capture = if denom == 0 {
-        0.0
-    } else {
-        stats.width_pred.correct_low as f64 / denom as f64
-    };
-    let split = |low: u64, full: u64| -> UnitActivity {
-        if herding {
-            let gated = low as f64 * capture;
-            UnitActivity { full: full as f64 + low as f64 - gated, low: gated }
-        } else {
-            UnitActivity { full: (low + full) as f64, low: 0.0 }
-        }
-    };
-
-    let mut v = Vec::new();
-    v.push((Unit::ICache, UnitActivity { full: stats.icache_accesses as f64, low: 0.0 }));
-    v.push((Unit::Itlb, UnitActivity { full: stats.itlb_accesses as f64, low: 0.0 }));
-    // §3.7: BTB hits whose target upper bits come from the branch PC stay
-    // on the top die.
-    let btb_total = stats.btb_lookups + stats.btb_updates;
-    let btb_low = if herding { stats.btb_partial_target_hits.min(btb_total) } else { 0 };
-    v.push((
-        Unit::Btb,
-        UnitActivity { full: (btb_total - btb_low) as f64, low: btb_low as f64 },
-    ));
-    v.push((
-        Unit::Bpred,
-        UnitActivity { full: (stats.bpred_lookups + stats.bpred_updates) as f64, low: 0.0 },
-    ));
-    v.push((Unit::Decode, UnitActivity { full: stats.fetched as f64, low: 0.0 }));
-    v.push((Unit::Rename, UnitActivity { full: stats.rename_ops as f64, low: 0.0 }));
-    v.push((
-        Unit::Rob,
-        split(
-            stats.rob_reads_low + stats.rob_writes_low,
-            stats.rob_reads_full + stats.rob_writes_full,
-        ),
-    ));
-    // Scheduler: allocations plus tag broadcasts; per-die broadcast gating
-    // (§3.4) shows up as driven-die fractions.
-    let driven: u64 = stats.tag_broadcast_die_driven.iter().sum();
-    let broadcast_eq = if stats.tag_broadcasts == 0 {
-        0.0
-    } else {
-        driven as f64 / 4.0
-    };
-    v.push((
-        Unit::Scheduler,
-        UnitActivity { full: stats.dispatched as f64 * 0.5 + broadcast_eq, low: 0.0 },
-    ));
-    v.push((
-        Unit::RegFile,
-        split(
-            stats.rf_reads_low + stats.rf_writes_low,
-            stats.rf_reads_full + stats.rf_writes_full,
-        ),
-    ));
-    v.push((Unit::IntExec, split(stats.int_ops_low, stats.int_ops_full)));
-    v.push((Unit::FpExec, UnitActivity { full: stats.fp_ops as f64, low: 0.0 }));
-    v.push((Unit::Bypass, split(stats.bypass_low, stats.bypass_full)));
-    // LSQ: every load/store broadcasts its address into the queues; PAM
-    // matches stay on the top die (§3.5).
-    let lsq_total = stats.loads + stats.stores;
-    let lsq_low = if herding { stats.pam.matches.min(lsq_total) } else { 0 };
-    v.push((
-        Unit::Lsq,
-        UnitActivity { full: (lsq_total - lsq_low) as f64, low: lsq_low as f64 },
-    ));
-    // D-cache: gated loads are exactly those predicted low and serviced
-    // from the top die; stores know their width at commit (§3.6); L2
-    // spills/fills always touch all four dies.
-    let gated_loads = if herding {
-        stats.dcache_encodings.total().saturating_sub(stats.dcache_width_stalls)
-    } else {
-        0
-    };
-    let store_low = if herding { stats.dcache_writes_low } else { 0 };
-    let dcache_low = gated_loads + store_low;
-    let dcache_total = stats.dcache_accesses + stats.spill_fill_transfers;
-    v.push((
-        Unit::DCache,
-        UnitActivity {
-            full: (dcache_total.saturating_sub(dcache_low)) as f64,
-            low: dcache_low as f64,
-        },
-    ));
-    v.push((Unit::Dtlb, UnitActivity { full: stats.dtlb_accesses as f64, low: 0.0 }));
-    v.push((
-        Unit::L2,
-        UnitActivity {
-            full: (stats.l2_accesses + stats.spill_fill_transfers) as f64,
-            low: 0.0,
-        },
-    ));
-    // No Unit::Clock row: the clock network is priced separately
-    // (`PowerBreakdown::clock_w`), not per access.
-    v
-}
-
-/// Derives per-unit activity from the measured [`ActivityMatrix`]: the
-/// event-sourced counterpart of [`unit_activity`], with no statistical
-/// reconstruction.
+/// Derives per-unit activity from the measured [`ActivityMatrix`] the
+/// pipeline recorded at each access site — the only activity source
+/// pricing uses.
 ///
 /// The ledger records *die-touches* for full accesses (one per die
 /// driven), so full-access equivalents are the row sum divided by the
 /// die count. With `herding` false the design cannot gate, so accesses
-/// the machine recorded as gated are priced full-width — the same
-/// pricing-time decision [`unit_activity`] makes.
+/// the machine recorded as gated are priced full-width.
 pub fn unit_activity_ledger(ledger: &ActivityMatrix, herding: bool) -> Vec<(Unit, UnitActivity)> {
     Unit::all()
         .iter()
@@ -302,9 +131,8 @@ impl PowerModel {
     /// core, not the sum over cores (both cores of the dual-core
     /// experiments run concurrently).
     ///
-    /// The low/full activity split comes from the source selected by
-    /// `cfg.activity`: the measured per-(unit, die) ledger by default, or
-    /// the capture-fraction reconstruction as the reference oracle.
+    /// The low/full activity split comes from the measured per-(unit,
+    /// die) ledger in `stats.activity` ([`unit_activity_ledger`]).
     ///
     /// # Panics
     ///
@@ -314,11 +142,7 @@ impl PowerModel {
         let herding = cfg.three_d && cfg.herding;
         let f_hz = cfg.clock_ghz * 1e9;
         let per_second = f_hz / cycles as f64;
-        let activity = match cfg.resolve_activity(stats) {
-            ActivitySource::Ledger => unit_activity_ledger(&stats.activity, herding),
-            ActivitySource::Modeled => unit_activity(stats, herding),
-        };
-        let per_unit = activity
+        let per_unit = unit_activity_ledger(&stats.activity, herding)
             .into_iter()
             .map(|(unit, act)| {
                 let (e_full, e_low) = if cfg.three_d {
@@ -340,41 +164,28 @@ impl PowerModel {
 mod tests {
     use super::*;
 
+    /// A busy run's measured ledger: `(unit, gated low accesses on the
+    /// top die, full accesses spanning the stack)`.
     fn busy_stats() -> SimStats {
-        SimStats {
-            cycles: 1000,
-            committed: 1500,
-            fetched: 1600,
-            icache_accesses: 500,
-            dispatched: 1500,
-            rename_ops: 1500,
-            rf_reads_low: 1200,
-            rf_reads_full: 400,
-            rf_writes_low: 700,
-            rf_writes_full: 300,
-            int_ops_low: 900,
-            int_ops_full: 300,
-            bypass_low: 900,
-            bypass_full: 300,
-            rob_reads_low: 900,
-            rob_reads_full: 600,
-            rob_writes_low: 900,
-            rob_writes_full: 600,
-            loads: 300,
-            stores: 150,
-            dcache_accesses: 450,
-            dcache_writes_low: 100,
-            tag_broadcasts: 1000,
-            tag_broadcast_die_driven: [1000, 600, 200, 200],
-            width_pred: th_width::WidthPredictStats {
-                predictions: 1500,
-                correct_low: 1100,
-                correct_full: 300,
-                unsafe_mispredictions: 20,
-                safe_mispredictions: 80,
-            },
-            ..Default::default()
+        let mut activity = ActivityMatrix::new();
+        for (unit, low, full) in [
+            (Unit::ICache, 0, 500),
+            (Unit::Decode, 0, 1600),
+            (Unit::Rename, 0, 1500),
+            (Unit::Rob, 1800, 1200),
+            (Unit::RegFile, 1900, 700),
+            (Unit::IntExec, 900, 300),
+            (Unit::Bypass, 900, 300),
+            (Unit::Lsq, 200, 250),
+            (Unit::DCache, 100, 350),
+        ] {
+            activity.add_low(unit, 0, low);
+            activity.add_full(unit, full);
         }
+        for (die, n) in [1000, 600, 200, 200].into_iter().enumerate() {
+            activity.add_full_on(Unit::Scheduler, die, n);
+        }
+        SimStats { cycles: 1000, committed: 1500, activity, ..Default::default() }
     }
 
     #[test]
@@ -413,33 +224,35 @@ mod tests {
     #[test]
     fn activity_conserves_accesses() {
         let s = busy_stats();
-        let with = unit_activity(&s, true);
-        let without = unit_activity(&s, false);
+        let with = unit_activity_ledger(&s.activity, true);
+        let without = unit_activity_ledger(&s.activity, false);
         for ((u1, a), (u2, b)) in with.iter().zip(&without) {
             assert_eq!(u1, u2);
-            // Gating moves accesses from full to low but never loses any
-            // (scheduler broadcasts are fractional-equivalent, skip).
-            if *u1 != Unit::Scheduler {
-                assert!(
-                    (a.full + a.low) - (b.full + b.low) < 1e-6,
-                    "{u1}: herded {} vs plain {}",
-                    a.full + a.low,
-                    b.full + b.low
-                );
-            }
+            // Gating moves accesses from full to low but never loses any.
+            assert!(
+                ((a.full + a.low) - (b.full + b.low)).abs() < 1e-9,
+                "{u1}: herded {} vs plain {}",
+                a.full + a.low,
+                b.full + b.low
+            );
+            assert_eq!(b.low, 0.0, "{u1}: a design without herding cannot gate");
         }
+        let rf = with.iter().find(|(u, _)| *u == Unit::RegFile).unwrap().1;
+        assert_eq!(rf, UnitActivity { full: 700.0, low: 1900.0 });
     }
 
     #[test]
-    fn capture_rate_limits_gating() {
-        // With a predictor that never predicts low, no gating happens
-        // even if values are low-width.
-        let mut s = busy_stats();
-        s.width_pred.correct_low = 0;
-        s.width_pred.safe_mispredictions = 1180;
-        let acts = unit_activity(&s, true);
-        let rf = acts.iter().find(|(u, _)| *u == Unit::RegFile).unwrap().1;
-        assert_eq!(rf.low, 0.0);
+    fn power_gated_interval_prices_zero_dynamic_watts() {
+        // A cosim interval with the core power-gated records nothing.
+        let stats = SimStats { cycles: 1000, ..Default::default() };
+        let cfg = PowerConfig::three_d(3.93, true);
+        let b = PowerModel::new().compute(&stats, 1000, &cfg);
+        assert_eq!(b.dynamic_w(), 0.0);
+        assert!(b.clock_w > 0.0 && b.leakage_w > 0.0);
+        let table = crate::DieFractionTable::new(&stats, &EnergyTable::new(), &cfg);
+        for &unit in Unit::all().iter().filter(|u| u.is_width_partitioned()) {
+            assert_eq!(table.fractions(unit), [0.25; DIES], "{unit}");
+        }
     }
 
     #[test]

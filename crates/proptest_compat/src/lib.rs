@@ -413,7 +413,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use rand::Rng;
 
-    /// A length range for [`vec`].
+    /// A length range for [`vec()`].
     pub struct SizeRange(core::ops::Range<usize>);
 
     impl From<core::ops::Range<usize>> for SizeRange {

@@ -2,16 +2,22 @@
 //! layers need, as raw counters.
 
 use th_stack3d::ActivityMatrix;
-use th_width::{DieActivity, EncodingStats, PamStats, WidthPredictStats};
+use th_width::{EncodingStats, PamStats, WidthPredictStats};
 
 /// Counters accumulated over one simulation run.
 ///
+/// Power is priced from one source only: the [`activity`](Self::activity)
+/// ledger, which records where each access landed in the stack.
+///
 /// Width-split counters (`*_low` / `*_full`) record the *architectural*
-/// width of the value handled, which is what determines how many dies
-/// switch in the significance-partitioned datapath. They are recorded
-/// regardless of whether herding is enabled so that the same run can be
-/// priced as a planar or a 3D design; whether gating actually *happens*
-/// is the power model's decision based on the configuration.
+/// width of the value handled, regardless of whether herding is enabled.
+/// `ledger_consistency` pins them against the ledger's row sums, yet they
+/// stay as counters because they hold what the ledger cannot give back:
+///
+/// * with herding off, the ledger books low-width accesses as full;
+/// * the `RegFile` and `Rob` ledger rows merge reads and writes;
+/// * reports read the architectural split itself (Figure 10's §5.3 ROB
+///   read/write ratios, the width characterization).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub struct SimStats {
@@ -121,9 +127,8 @@ pub struct SimStats {
 
     /// Event-sourced per-(unit, die) access ledger, recorded at every
     /// pipeline access site (see `th_stack3d::ActivityMatrix` for the
-    /// die-touch semantics). This is the measured counterpart of the
-    /// scalar width-split counters above: the power model prices watts
-    /// directly from it on the default path.
+    /// die-touch semantics). The power model prices watts and the
+    /// per-die power split from it alone.
     pub activity: ActivityMatrix,
 }
 
@@ -173,15 +178,6 @@ impl SimStats {
         } else {
             1000.0 * self.dram_accesses as f64 / self.committed as f64
         }
-    }
-
-    /// Register-file read activity split per die, assuming the
-    /// significance-partitioned organisation.
-    pub fn rf_read_activity(&self) -> DieActivity {
-        let mut a = DieActivity::default();
-        a.record_n(th_width::Width::Low, self.rf_reads_low);
-        a.record_n(th_width::Width::Full, self.rf_reads_full);
-        a
     }
 
     /// Fraction of integer operations whose values were low-width.
@@ -382,13 +378,5 @@ mod tests {
         assert_eq!(a.committed, 30);
         assert_eq!(a.rs_allocs_per_die, [5, 4, 3, 2]);
         assert_eq!(a.dcache_encodings.counts, [1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn rf_activity_projects_widths() {
-        let s = SimStats { rf_reads_low: 3, rf_reads_full: 1, ..Default::default() };
-        let a = s.rf_read_activity();
-        assert_eq!(a.die(0), 4);
-        assert_eq!(a.die(3), 1);
     }
 }

@@ -1,9 +1,9 @@
 //! Event-sourced per-(unit, die) activity ledger.
 //!
 //! The pipeline records, at the moment each access executes, exactly
-//! which dies of which unit it drove. The power model then prices watts
-//! straight from these measured counters instead of reconstructing the
-//! placement from aggregate statistics ("capture fraction" heuristics).
+//! which dies of which unit it drove. The power model prices watts, and
+//! the per-die power split the thermal model consumes, straight from
+//! these measured counters — they are its only activity source.
 //!
 //! # Die-touch semantics
 //!

@@ -19,12 +19,13 @@
 //! * [`PartialAddressMemoizer`] — the load/store queue's partial address
 //!   memoization (§3.5): broadcast 16 low bits plus one "upper 48 bits
 //!   match the most recent store" bit.
-//! * [`DieActivity`] — per-die switching-activity accounting used by the
-//!   power model to locate activity within the 3D stack.
+//!
+//! Where the resulting accesses land in the 3D stack is not this crate's
+//! concern: the pipeline records that per access in `th-stack3d`'s
+//! activity ledger, the one activity source the power model prices.
 
 #![deny(missing_docs)]
 
-mod activity;
 mod class;
 mod counter;
 mod encoding;
@@ -32,7 +33,6 @@ mod memo;
 mod pam;
 mod predictor;
 
-pub use activity::DieActivity;
 pub use class::{Width, WidthPolicy};
 pub use counter::SatCounter;
 pub use encoding::{EncodingStats, UpperEncoding};

@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 use th_isa::{Assembler, Machine, Reg};
 use th_sim::{SimConfig, Simulator};
-use th_workloads::workload_by_name;
+use th_stack3d::ActivityMatrix;
+use th_workloads::{all_workloads, workload_by_name};
 use thermal_herding::{run_chip, thermal_analysis_scaled, Variant};
 
 /// Builds a random straight-line program that the proptest strategies
@@ -98,4 +99,37 @@ fn power_breakdown_sums_to_total() {
             assert!((sum - r.power.total_w()).abs() < 1e-9);
         }
     }
+}
+
+#[test]
+fn ledger_merge_is_associative_and_commutative_under_fanout() {
+    // The experiment drivers fan runs out over the th-exec pool and fold
+    // the per-run stats in reduction order; any grouping or order must
+    // produce the same chip-level ledger.
+    let runs = th_exec::pool().map(&all_workloads(), |w| {
+        run_chip(Variant::ThreeD, w, 20_000).expect("workload runs")
+    });
+    let ledgers: Vec<&ActivityMatrix> = runs.iter().map(|r| &r.core_stats.activity).collect();
+    assert!(ledgers.len() >= 3, "need at least three runs to exercise grouping");
+
+    let fold = |order: &[usize]| {
+        let mut acc = ActivityMatrix::new();
+        for &i in order {
+            acc.merge(ledgers[i]);
+        }
+        acc
+    };
+    let forward = fold(&(0..ledgers.len()).collect::<Vec<_>>());
+    let reverse = fold(&(0..ledgers.len()).rev().collect::<Vec<_>>());
+    assert_eq!(forward, reverse, "merge is not commutative");
+
+    // (a ⊔ b) ⊔ c == a ⊔ (b ⊔ c), folded pairwise from both ends.
+    let mut left = ledgers[0].clone();
+    left.merge(ledgers[1]);
+    left.merge(ledgers[2]);
+    let mut bc = ledgers[1].clone();
+    bc.merge(ledgers[2]);
+    let mut right = ledgers[0].clone();
+    right.merge(&bc);
+    assert_eq!(left, right, "merge is not associative");
 }

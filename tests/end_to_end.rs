@@ -3,6 +3,7 @@
 
 use th_isa::parse_asm;
 use th_sim::{SimConfig, Simulator};
+use th_stack3d::Unit;
 use th_workloads::{all_workloads, workload_by_name};
 use thermal_herding::{run_chip, thermal_analysis, Variant};
 
@@ -105,4 +106,31 @@ fn warmup_reduces_cold_start_artifacts() {
         cold.stats.dram_per_kilo_inst()
     );
     assert!(warm.ipc() >= cold.ipc());
+}
+
+#[test]
+fn herding_top_die_fractions_golden() {
+    // The measured (activity-ledger) top-die share of every
+    // width-partitioned unit for the peak-power workload under the full
+    // 3D design. The ledger is deterministic, so these are exact pins: a
+    // drift means recording sites were lost or herding stopped steering
+    // gated accesses to the top die (§5.2).
+    const GOLDEN: [(Unit, f64); 6] = [
+        (Unit::Rob, 0.907_072_7),
+        (Unit::RegFile, 0.754_313_1),
+        (Unit::IntExec, 0.873_688_6),
+        (Unit::Bypass, 0.900_102_0),
+        (Unit::Lsq, 1.0),
+        (Unit::DCache, 0.988_300_7),
+    ];
+    let w = workload_by_name("mpeg2-like").unwrap();
+    let run = run_chip(Variant::ThreeD, &w, 60_000).expect("runs");
+    let table = run.die_table();
+    let partitioned: Vec<Unit> =
+        Unit::all().iter().copied().filter(|u| u.is_width_partitioned()).collect();
+    assert_eq!(partitioned, GOLDEN.map(|(u, _)| u), "width-partitioned unit set changed");
+    for (unit, want) in GOLDEN {
+        let got = table.fractions(unit)[0];
+        assert!((got - want).abs() < 1e-4, "{unit}: measured top-die {got:.6}, golden {want:.6}");
+    }
 }
