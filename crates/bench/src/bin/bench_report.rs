@@ -1,7 +1,8 @@
 //! End-to-end pipeline benchmark: times the Figure 8/9/10 experiment
-//! sweeps at one thread and at the configured thread count, plus the
-//! thermal steady-state solve (scalar reference kernel vs red-black),
-//! and writes the measurements to `BENCH_pipeline.json`.
+//! sweeps at one thread and at the configured thread count, the core
+//! loop under both engines, and the thermal steady-state solve (scalar
+//! reference kernel vs red-black), and writes the measurements to
+//! `BENCH_pipeline.json`.
 //!
 //! ```text
 //! cargo run --release -p th-bench --bin bench_report [budget] [fig10-rows]
@@ -20,12 +21,13 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 use th_exec::Pool;
-use th_sim::{set_default_engine, CoreEngine};
+use th_sim::{CoreEngine, SimConfig, Simulator};
 use th_sweep::{presets, run_sweep, SweepOptions, SweepOutcome, SweepSpec};
 use th_thermal::{
     Kernel, Material, ModelLayer, PowerGrid, SolveOptions, StackModel, SteadySolver,
 };
 use th_workloads::workload_by_name;
+use thermal_herding::experiments::fig8;
 use thermal_herding::Variant;
 
 fn time_s<R>(f: impl FnOnce() -> R) -> (f64, R) {
@@ -168,17 +170,29 @@ fn main() {
     }
     writeln!(json, "  ],").unwrap();
 
-    // Engine A/B: the same fig8 sweep, same budget, one thread, under the
-    // legacy per-cycle scan engine and the event-driven engine. The two
-    // produce identical statistics (enforced by the equivalence tests);
-    // this block records how much wall-clock the event core saves.
-    eprintln!("timing the fig8 sweep under the scan engine...");
-    set_default_engine(Some(CoreEngine::Scan));
-    let (scan_s, _) = timed_sweep(&experiments[0], &seq);
-    eprintln!("timing the fig8 sweep under the event engine...");
-    set_default_engine(Some(CoreEngine::Event));
-    let (event_s, _) = timed_sweep(&experiments[0], &seq);
-    set_default_engine(None);
+    // Engine A/B: the core loop alone over fig8's grid, same budget, one
+    // thread, under the per-cycle scan engine and the event-driven
+    // engine. Workloads are built outside the timed region. The two
+    // engines produce identical statistics (enforced by the equivalence
+    // tests); this block records how much wall-clock the event core saves.
+    let workloads = th_workloads::all_workloads();
+    let core_loop_s = |engine: CoreEngine| {
+        eprintln!("timing fig8's core loop under the {engine:?} engine...");
+        time_s(|| {
+            fig8::grid()
+                .map(|(name, variant)| {
+                    let w = workloads.iter().find(|w| w.name == name).expect("registry workload");
+                    let n = budget.min(w.inst_budget);
+                    let cfg = SimConfig { engine, ..variant.sim_config() };
+                    let run = Simulator::new(cfg).run_with_warmup(&w.program, n / 5, n);
+                    run.expect("workload runs").stats.committed
+                })
+                .sum::<u64>()
+        })
+        .0
+    };
+    let scan_s = core_loop_s(CoreEngine::Scan);
+    let event_s = core_loop_s(CoreEngine::Event);
     println!(
         "engine: fig8 scan {scan_s:.2} s, event {event_s:.2} s ({:.2}x)",
         scan_s / event_s

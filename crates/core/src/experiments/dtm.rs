@@ -16,12 +16,10 @@
 //! closed loop must never exceed the open loop's steady-state ceiling.
 
 use crate::config::Variant;
-use crate::thermal::SINK_RESISTANCE_K_PER_W;
+use crate::thermal::thermal_geometry;
 use std::fmt;
 use th_cosim::{CoSimConfig, CoSimReport, CoSimulator, DtmPolicy, PolicyKind};
 use th_power::LeakageModel;
-use th_stack3d::{DieStack, Floorplan};
-use th_thermal::{HeatSink, SteadySolver};
 use th_workloads::Workload;
 
 /// Control interval of the DTM loop, seconds of simulated time.
@@ -91,23 +89,6 @@ impl DtmTrace {
     }
 }
 
-/// Assembles the co-simulation pieces for one design point.
-fn cosim_parts(variant: Variant, rows: usize) -> (Floorplan, SteadySolver, LeakageModel, usize) {
-    let (floorplan, stack, rows) = if variant.is_three_d() {
-        (Floorplan::stacked_dual_core(), DieStack::four_die(), rows)
-    } else {
-        (Floorplan::planar_dual_core(), DieStack::planar(), rows * 2)
-    };
-    let model = th_cosim::stack_thermal_model(
-        &stack,
-        &floorplan,
-        HeatSink { resistance_k_per_w: SINK_RESISTANCE_K_PER_W, ambient_k: th_thermal::AMBIENT_K },
-    );
-    let solver = SteadySolver::new(model, rows, rows);
-    let leakage = LeakageModel::new(variant.power_config().chip_leakage_w, &floorplan);
-    (floorplan, solver, leakage, rows)
-}
-
 /// Runs the closed DTM loop for one design point under `policy`, with an
 /// explicit interval structure (smoke tests and determinism checks use a
 /// scaled-down one).
@@ -119,7 +100,8 @@ pub fn run_variant_scaled(
     policy: Box<dyn DtmPolicy>,
     cfg: CoSimConfig,
 ) -> DtmTrace {
-    let (floorplan, solver, leakage, _) = cosim_parts(variant, rows);
+    let (floorplan, solver) = thermal_geometry(variant, rows);
+    let leakage = LeakageModel::new(variant.power_config().chip_leakage_w, &floorplan);
     let sim_cfg = variant.sim_config();
     let nominal_fetch_width = sim_cfg.core.fetch_width;
     let cosim = CoSimulator::new(

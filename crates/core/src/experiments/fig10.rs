@@ -11,12 +11,12 @@
 //! * the §5.3 ROB statistic: ≈5× more low-width reads and ≈2× more
 //!   low-width writes than full-width.
 
+use super::run_grid;
 use crate::config::Variant;
-use crate::run::run_chip;
-use crate::thermal::{thermal_analysis, thermal_analysis_scaled, ThermalAnalysis};
+use crate::thermal::{thermal_analysis, ThermalAnalysis};
 use std::fmt;
 use th_stack3d::Unit;
-use th_workloads::{all_workloads, workload_by_name, Workload};
+use th_workloads::workload_names;
 
 /// Worst-case thermal outcome for one design point.
 #[derive(Clone, Debug)]
@@ -93,11 +93,41 @@ impl Fig10 {
 pub const WORST_CASE_CANDIDATES: [&str; 5] =
     ["mpeg2-like", "susan-like", "yacr2-like", "crafty-like", "gzip-like"];
 
-/// Builds the [`WORST_CASE_CANDIDATES`].
-pub fn worst_case_candidates() -> Vec<Workload> {
-    WORST_CASE_CANDIDATES
-        .iter()
-        .map(|n| workload_by_name(n).expect("candidate exists"))
+/// Figure 10's design points, in presentation order.
+pub const VARIANTS: [Variant; 3] = [Variant::Base, Variant::ThreeDNoTh, Variant::ThreeD];
+
+/// The Figure 10 worst-case search grid: [`VARIANTS`] ×
+/// [`WORST_CASE_CANDIDATES`], variant-major. Each point is a chip run
+/// plus a steady-state thermal solve.
+pub fn grid() -> impl Iterator<Item = (&'static str, Variant)> {
+    VARIANTS
+        .into_iter()
+        .flat_map(|v| WORST_CASE_CANDIDATES.into_iter().map(move |name| (name, v)))
+}
+
+/// The worst-case reduction over solved `(variant, candidate, peak_k)`
+/// points: for each of [`VARIANTS`] with any point, the candidate with
+/// the highest peak — the first strict maximum in
+/// [`WORST_CASE_CANDIDATES`] order, whatever order the points come in.
+/// Points outside the [`grid`] are ignored. Returns
+/// `(variant, workload, peak kelvin)` rows in [`VARIANTS`] order.
+pub fn worst_case_rows<'a>(
+    points: impl IntoIterator<Item = (Variant, &'a str, f64)>,
+) -> Vec<(Variant, &'static str, f64)> {
+    let points: Vec<_> = points.into_iter().collect();
+    VARIANTS
+        .into_iter()
+        .filter_map(|variant| {
+            WORST_CASE_CANDIDATES
+                .into_iter()
+                .filter_map(|name| {
+                    let &(_, _, peak_k) =
+                        points.iter().find(|&&(v, w, _)| v == variant && w == name)?;
+                    Some((name, peak_k))
+                })
+                .reduce(|best, next| if next.1 > best.1 { next } else { best })
+                .map(|(name, peak_k)| (variant, name, peak_k))
+        })
         .collect()
 }
 
@@ -107,44 +137,38 @@ pub fn run(max_insts: u64, rows: usize) -> Fig10 {
     run_with_pool(max_insts, rows, th_exec::pool())
 }
 
-/// [`run`] on an explicit pool. Each phase (worst-case search, same-app
-/// comparison, iso-power, ROB sweep) fans its independent runs out in
-/// parallel and reduces in a fixed order, so the output is identical for
+/// [`run`] on an explicit pool. Every distinct chip run happens once:
+/// the [`grid`] runs and their solves feed the worst-case search, the
+/// same-application comparison and the iso-power study, and the ROB
+/// statistic adds only the 3D runs of the non-candidate workloads.
+/// Everything reduces in a fixed order, so the output is identical for
 /// any thread count.
 pub fn run_with_pool(max_insts: u64, rows: usize, pool: &th_exec::Pool) -> Fig10 {
-    let candidates = worst_case_candidates();
-    let variants = [Variant::Base, Variant::ThreeDNoTh, Variant::ThreeD];
+    let rob_only = workload_names().filter(|n| !WORST_CASE_CANDIDATES.contains(n));
+    let runs = run_grid(grid().chain(rob_only.map(|n| (n, Variant::ThreeD))), max_insts, pool);
+    let grid_runs = &runs[..VARIANTS.len() * WORST_CASE_CANDIDATES.len()];
+    let analyses = pool.map(grid_runs, |r| thermal_analysis(r, rows).expect("thermal solves"));
+    let at = |variant: Variant, workload: &str| {
+        runs.iter()
+            .position(|r| r.variant == variant && r.workload == workload)
+            .expect("grid point")
+    };
 
-    // Worst-case search: variants × candidates, reduced per variant in
-    // candidate order (first strict maximum wins, as sequentially).
-    let worst_jobs: Vec<(usize, usize)> = (0..variants.len())
-        .flat_map(|vi| (0..candidates.len()).map(move |ci| (vi, ci)))
+    // (a-c): the worst case per design point.
+    let points = grid_runs.iter().zip(&analyses).map(|(r, a)| (r.variant, r.workload, a.peak_k()));
+    let worst: Vec<WorstCase> = worst_case_rows(points)
+        .into_iter()
+        .map(|(variant, workload, _)| WorstCase {
+            variant,
+            workload,
+            analysis: analyses[at(variant, workload)].clone(),
+        })
         .collect();
-    let analyses = pool.map(&worst_jobs, |&(vi, ci)| {
-        let run = run_chip(variants[vi], &candidates[ci], max_insts).expect("candidate runs");
-        thermal_analysis(&run, rows).expect("thermal solves")
-    });
-    let mut worst = Vec::new();
-    for (vi, &variant) in variants.iter().enumerate() {
-        let mut best: Option<WorstCase> = None;
-        for (ci, w) in candidates.iter().enumerate() {
-            let analysis = &analyses[vi * candidates.len() + ci];
-            if best.as_ref().is_none_or(|b| analysis.peak_k() > b.peak_k()) {
-                best =
-                    Some(WorstCase { variant, workload: w.name, analysis: analysis.clone() });
-            }
-        }
-        worst.push(best.expect("candidates non-empty"));
-    }
 
     // (d-f): all three designs running the same application — use the
     // baseline's worst-case app, as the paper does.
     let common = worst[0].workload;
-    let common_w = workload_by_name(common).expect("common workload");
-    let same_app = pool.map(&variants, |&variant| {
-        let run = run_chip(variant, &common_w, max_insts).expect("runs");
-        thermal_analysis(&run, rows).expect("solves")
-    });
+    let same_app = VARIANTS.iter().map(|&v| analyses[at(v, common)].clone()).collect();
 
     // §5.3 iso-power: "the 3D processor at the same total power (90 W)
     // and same frequency (2.66 GHz) as the planar processor ... mimics a
@@ -152,27 +176,20 @@ pub fn run_with_pool(max_insts: u64, rows: usize, pool: &th_exec::Pool) -> Fig10
     // power benefits of a 3D organization" — the planar power map,
     // planar pricing and all, compressed into the 4-die stack.
     let iso = {
-        let mut runs = pool
-            .map(&[Variant::Base, Variant::ThreeDNoTh], |&v| {
-                run_chip(v, &common_w, max_insts).expect("runs")
-            })
-            .into_iter();
-        let base = runs.next().expect("base run");
-        let mut r = runs.next().expect("3d run");
+        let base = &runs[at(Variant::Base, common)];
+        let mut r = runs[at(Variant::ThreeDNoTh, common)].clone();
         r.power = base.power.clone();
         r.chip_stats = base.chip_stats.clone();
-        thermal_analysis_scaled(&r, rows, 1.0).expect("iso-power solves")
+        thermal_analysis(&r, rows).expect("iso-power solves")
     };
 
     // §5.3 ROB width ratios under the full 3D design, aggregated over
-    // every workload.
-    let rob_runs = pool.map(&all_workloads(), |w| {
-        run_chip(Variant::ThreeD, w, max_insts).expect("runs")
-    });
+    // every workload in registry order.
     let mut reads = (0u64, 0u64);
     let mut writes = (0u64, 0u64);
     let mut agg = th_sim::SimStats::default();
-    for r in &rob_runs {
+    for name in workload_names() {
+        let r = &runs[at(Variant::ThreeD, name)];
         reads.0 += r.core_stats.rob_reads_low;
         reads.1 += r.core_stats.rob_reads_full;
         writes.0 += r.core_stats.rob_writes_low;
@@ -263,6 +280,8 @@ impl fmt::Display for Fig10 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::run_chip;
+    use th_workloads::workload_by_name;
 
     #[test]
     fn experiment_structure_is_sound() {
@@ -291,5 +310,22 @@ mod tests {
         {
             assert!(text.contains(needle), "missing {needle}");
         }
+
+        // The reused grid runs equal fresh ones: the baseline's same-app
+        // analysis and the iso-power peak, re-derived from scratch.
+        let common = workload_by_name(fig10.same_app_workload).unwrap();
+        let base = run_chip(Variant::Base, &common, 15_000).unwrap();
+        let fresh = thermal_analysis(&base, 10).unwrap();
+        let reused = &fig10.same_app[0];
+        assert_eq!(reused.variant, Variant::Base);
+        assert_eq!(fresh.peak_k().to_bits(), reused.peak_k().to_bits());
+        let fresh_bits: Vec<u64> = fresh.map.temps().iter().map(|t| t.to_bits()).collect();
+        let reused_bits: Vec<u64> = reused.map.temps().iter().map(|t| t.to_bits()).collect();
+        assert_eq!(fresh_bits, reused_bits, "same-app map differs from a fresh run");
+        let mut iso = run_chip(Variant::ThreeDNoTh, &common, 15_000).unwrap();
+        iso.power = base.power;
+        iso.chip_stats = base.chip_stats;
+        let iso_peak = thermal_analysis(&iso, 10).unwrap().peak_k();
+        assert_eq!(iso_peak.to_bits(), fig10.iso_power_peak_k.to_bits());
     }
 }

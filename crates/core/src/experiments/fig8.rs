@@ -2,11 +2,11 @@
 //! speedup over the baseline (c), per benchmark group, for the five
 //! design points — plus the §3.8 width-prediction accuracy statistic.
 
+use super::run_grid;
 use crate::config::Variant;
-use crate::run::run_chip;
 use std::collections::BTreeMap;
 use std::fmt;
-use th_workloads::{all_workloads, Suite};
+use th_workloads::{workload_names, workload_suite, Suite};
 
 /// Per-workload results across the five design points.
 #[derive(Clone, Debug)]
@@ -108,45 +108,43 @@ fn geomean(values: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
-/// Runs the Figure 8 sweep: every workload × the five design points,
-/// `max_insts` per core per run, fanned out over the global
-/// [`th_exec::pool`].
+/// The Figure 8 grid: every workload × the five design points
+/// ([`Variant::figure8`]), workload-major.
+pub fn grid() -> impl Iterator<Item = (&'static str, Variant)> {
+    workload_names().flat_map(|name| Variant::figure8().iter().map(move |&v| (name, v)))
+}
+
+/// Runs the Figure 8 sweep over [`grid`], `max_insts` per core per run,
+/// fanned out over the global [`th_exec::pool`].
 pub fn run(max_insts: u64) -> Fig8 {
     run_with_pool(max_insts, th_exec::pool())
 }
 
-/// [`run`] on an explicit pool. The `(workload × variant)` matrix is
-/// flattened into one job list and the results are reduced in workload
+/// [`run`] on an explicit pool. The results are reduced in workload
 /// order, so the output is identical for any thread count.
 pub fn run_with_pool(max_insts: u64, pool: &th_exec::Pool) -> Fig8 {
-    let variants = Variant::figure8();
-    let workloads = all_workloads();
-    let jobs: Vec<(usize, usize)> = (0..workloads.len())
-        .flat_map(|wi| (0..variants.len()).map(move |vi| (wi, vi)))
-        .collect();
-    let results = pool.map(&jobs, |&(wi, vi)| {
-        run_chip(variants[vi], &workloads[wi], max_insts).expect("workload runs")
-    });
+    let results = run_grid(grid(), max_insts, pool);
 
     let mut rows = Vec::new();
     let mut width_correct = 0u64;
     let mut width_total = 0u64;
     let mut three_d_stats = th_sim::SimStats::default();
-    for (wi, w) in workloads.iter().enumerate() {
+    for runs in results.chunks(Variant::figure8().len()) {
         let mut ipc = [0.0; 5];
         let mut ipns = [0.0; 5];
-        for (i, &variant) in variants.iter().enumerate() {
-            let r = &results[wi * variants.len() + i];
+        for (i, r) in runs.iter().enumerate() {
             ipc[i] = r.ipc();
             ipns[i] = r.ipns();
-            if variant == Variant::ThreeD {
+            if r.variant == Variant::ThreeD {
                 let wp = &r.core_stats.width_pred;
                 width_correct += wp.correct_low + wp.correct_full;
                 width_total += wp.predictions;
                 three_d_stats.merge(&r.core_stats);
             }
         }
-        rows.push(Fig8Row { workload: w.name, suite: w.suite, ipc, ipns });
+        let workload = runs[0].workload;
+        let suite = workload_suite(workload).expect("registry workload");
+        rows.push(Fig8Row { workload, suite, ipc, ipns });
     }
     // Measured herding payoff over the whole suite: the register file's
     // top-die power fraction from the aggregated activity ledger.

@@ -3,11 +3,12 @@
 //! Herding design — plus the per-application total-power savings range
 //! (§5.2: 15 % for `yacr2` to 30 % for `susan`).
 
+use super::run_grid;
 use crate::config::Variant;
-use crate::run::{run_chip, ChipResult};
+use crate::run::ChipResult;
 use std::fmt;
 use th_stack3d::Unit;
-use th_workloads::{all_workloads, workload_by_name};
+use th_workloads::workload_names;
 
 /// One bar of Figure 9: the per-unit power distribution of one design.
 #[derive(Clone, Debug)]
@@ -83,45 +84,43 @@ impl Fig9 {
     }
 }
 
-/// Runs the Figure 9 experiment, fanned out over the global
-/// [`th_exec::pool`].
+/// The workload of Figure 9's three bars (the peak-power application).
+pub const BAR_WORKLOAD: &str = "mpeg2-like";
+
+/// The Figure 9 grid: every workload × {planar, 3D with herding} for
+/// the savings, workload-major, then [`BAR_WORKLOAD`] × 3D without
+/// herding for the middle bar. The outer bars reuse the savings runs.
+pub fn grid() -> impl Iterator<Item = (&'static str, Variant)> {
+    workload_names()
+        .flat_map(|name| [(name, Variant::Base), (name, Variant::ThreeD)])
+        .chain(std::iter::once((BAR_WORKLOAD, Variant::ThreeDNoTh)))
+}
+
+/// Runs the Figure 9 experiment over [`grid`], fanned out over the
+/// global [`th_exec::pool`].
 pub fn run(max_insts: u64) -> Fig9 {
     run_with_pool(max_insts, th_exec::pool())
 }
 
-/// [`run`] on an explicit pool. The three bars and the per-workload
-/// base/3D pairs form one flat job list; results are reduced in a fixed
-/// order, so the output is identical for any thread count.
+/// [`run`] on an explicit pool. Results are reduced in grid order, so
+/// the output is identical for any thread count.
 pub fn run_with_pool(max_insts: u64, pool: &th_exec::Pool) -> Fig9 {
-    let mpeg2 = workload_by_name("mpeg2-like").expect("mpeg2-like exists");
-    let workloads = all_workloads();
-    let bar_variants = [Variant::Base, Variant::ThreeDNoTh, Variant::ThreeD];
-
-    let mut jobs: Vec<(Variant, &th_workloads::Workload)> =
-        bar_variants.iter().map(|&v| (v, &mpeg2)).collect();
-    for w in &workloads {
-        jobs.push((Variant::Base, w));
-        jobs.push((Variant::ThreeD, w));
-    }
-    let mut results = pool
-        .map(&jobs, |&(variant, w)| run_chip(variant, w, max_insts).expect("workload runs"))
-        .into_iter();
-
-    let bars = bar_variants
-        .iter()
-        .map(|&variant| Fig9Bar { variant, result: results.next().expect("bar result") })
-        .collect();
-    let savings = workloads
-        .iter()
-        .map(|w| {
-            let base = results.next().expect("base result");
-            let three_d = results.next().expect("3d result");
-            PowerSaving {
-                workload: w.name,
-                base_w: base.power.total_w(),
-                three_d_w: three_d.power.total_w(),
-            }
+    let results = run_grid(grid(), max_insts, pool);
+    let (no_th, pairs) = results.split_last().expect("middle bar run");
+    let savings = pairs
+        .chunks(2)
+        .map(|pair| PowerSaving {
+            workload: pair[0].workload,
+            base_w: pair[0].power.total_w(),
+            three_d_w: pair[1].power.total_w(),
         })
+        .collect();
+    let bar = |variant: Variant| {
+        pairs.iter().find(|r| r.variant == variant && r.workload == BAR_WORKLOAD).expect("bar run")
+    };
+    let bars = [bar(Variant::Base), no_th, bar(Variant::ThreeD)]
+        .into_iter()
+        .map(|result| Fig9Bar { variant: result.variant, result: result.clone() })
         .collect();
 
     Fig9 { bars, savings }
@@ -129,7 +128,7 @@ pub fn run_with_pool(max_insts: u64, pool: &th_exec::Pool) -> Fig9 {
 
 impl fmt::Display for Fig9 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Figure 9: chip power running mpeg2-like on both cores")?;
+        writeln!(f, "Figure 9: chip power running {BAR_WORKLOAD} on both cores")?;
         writeln!(
             f,
             "{:<12} {:>10} {:>10} {:>10} {:>10}",

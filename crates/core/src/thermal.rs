@@ -4,7 +4,7 @@ use crate::config::Variant;
 use crate::run::ChipResult;
 use th_power::{DieFractionTable, PowerModel};
 use th_stack3d::{DieStack, Floorplan, Unit};
-use th_thermal::{HeatSink, PowerGrid, SolveOptions, StackModel, SteadySolver, ThermalMap};
+use th_thermal::{HeatSink, PowerGrid, SolveOptions, SteadySolver, ThermalMap};
 
 /// Default lateral grid resolution for the experiments (rows).
 pub const GRID_ROWS: usize = 40;
@@ -52,14 +52,24 @@ impl ThermalAnalysis {
     }
 }
 
-/// Converts a `th-stack3d` die stack into a thermal stack model under
-/// the experiments' standard heat sink.
-pub(crate) fn stack_model(stack: &DieStack, floorplan: &Floorplan) -> StackModel {
-    th_cosim::stack_thermal_model(
-        stack,
-        floorplan,
+/// The thermal geometry of a design point: its floorplan and the steady
+/// solver for its die stack under the experiments' standard heat sink,
+/// at `rows × rows` cells. The planar die has twice the linear extent of
+/// the folded one, so it gets twice the cells and both are solved at the
+/// same physical resolution.
+pub(crate) fn thermal_geometry(variant: Variant, rows: usize) -> (Floorplan, SteadySolver) {
+    let (floorplan, stack, rows) = if variant.is_three_d() {
+        (Floorplan::stacked_dual_core(), DieStack::four_die(), rows)
+    } else {
+        (Floorplan::planar_dual_core(), DieStack::planar(), rows * 2)
+    };
+    let model = th_cosim::stack_thermal_model(
+        &stack,
+        &floorplan,
         HeatSink { resistance_k_per_w: SINK_RESISTANCE_K_PER_W, ambient_k: th_thermal::AMBIENT_K },
-    )
+    );
+    let solver = SteadySolver::new(model, rows, rows);
+    (floorplan, solver)
 }
 
 /// Rasterises the chip power onto per-die power grids.
@@ -120,16 +130,8 @@ pub fn thermal_analysis_scaled(
     rows: usize,
     power_scale: f64,
 ) -> Result<ThermalAnalysis, String> {
-    // The planar die has twice the linear extent of the folded one; use
-    // twice the cells so both are solved at the same physical resolution.
-    let (floorplan, stack, rows) = if result.variant.is_three_d() {
-        (Floorplan::stacked_dual_core(), DieStack::four_die(), rows)
-    } else {
-        (Floorplan::planar_dual_core(), DieStack::planar(), rows * 2)
-    };
-    let cols = rows;
-    let model = stack_model(&stack, &floorplan);
-    let solver = SteadySolver::new(model, rows, cols);
+    let (floorplan, solver) = thermal_geometry(result.variant, rows);
+    let (rows, cols) = solver.resolution();
     let mut grids = power_grids(result, &floorplan, rows, cols);
     for g in &mut grids {
         g.scale(power_scale);
@@ -185,14 +187,9 @@ pub fn transient_heatup(
     dt_s: f64,
     steps: usize,
 ) -> Result<Vec<(f64, f64)>, String> {
-    let (floorplan, stack, rows) = if result.variant.is_three_d() {
-        (Floorplan::stacked_dual_core(), DieStack::four_die(), rows)
-    } else {
-        (Floorplan::planar_dual_core(), DieStack::planar(), rows * 2)
-    };
-    let model = stack_model(&stack, &floorplan);
-    let solver = SteadySolver::new(model, rows, rows);
-    let grids = power_grids(result, &floorplan, rows, rows);
+    let (floorplan, solver) = thermal_geometry(result.variant, rows);
+    let (rows, cols) = solver.resolution();
+    let grids = power_grids(result, &floorplan, rows, cols);
     let mut transient = th_thermal::TransientSolver::from_ambient(solver);
     let mut trace = Vec::with_capacity(steps + 1);
     trace.push((0.0, transient.current_map().max_temp()));

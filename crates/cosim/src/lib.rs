@@ -53,20 +53,6 @@ use th_thermal::{
     TransientSolver,
 };
 
-/// Environment variable overriding the co-simulation interval,
-/// **microseconds** of simulated time (e.g. `TH_COSIM_INTERVAL=500`).
-pub const INTERVAL_ENV: &str = "TH_COSIM_INTERVAL";
-
-/// The interval override from [`INTERVAL_ENV`], converted to seconds.
-/// Malformed or non-positive values warn once on stderr (via
-/// [`th_exec::env_knob`]) and leave the configured interval untouched.
-pub fn interval_from_env() -> Option<f64> {
-    th_exec::env_knob(INTERVAL_ENV, "a positive interval in microseconds", |s| {
-        s.trim().parse::<f64>().ok().filter(|us| *us > 0.0)
-    })
-    .map(|us| us * 1e-6)
-}
-
 /// Maps a die-stack layer to its thermal material.
 fn material_of(kind: LayerKind) -> Material {
     match kind {
@@ -145,17 +131,6 @@ impl CoSimConfig {
     pub fn full_speed(interval_s: f64, clock_ghz: f64, steps: usize) -> CoSimConfig {
         let slice = (interval_s * clock_ghz * 1e9).round().max(1.0) as u64;
         CoSimConfig::sampled(interval_s, slice, steps)
-    }
-
-    /// Applies the [`INTERVAL_ENV`] override, keeping the slice-to-
-    /// interval ratio (sampling density) fixed.
-    pub fn apply_env(mut self) -> CoSimConfig {
-        if let Some(s) = interval_from_env() {
-            let density = self.slice_cycles as f64 / self.interval_s;
-            self.interval_s = s;
-            self.slice_cycles = (density * s).round().max(1.0) as u64;
-        }
-        self
     }
 }
 

@@ -1,6 +1,5 @@
 //! Simulator configuration (Table 1 plus the paper's design points).
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use th_width::WidthPolicy;
 
 /// Which core-loop implementation executes the pipeline.
@@ -8,6 +7,8 @@ use th_width::WidthPolicy;
 /// Both engines model the identical machine and must produce bit-identical
 /// [`crate::SimStats`]; `Scan` is the original per-cycle linear-scan loop,
 /// kept as the reference oracle for the event-driven rewrite.
+/// [`SimConfig::engine`] is the only selector; every [`SimConfig`]
+/// constructor starts with `Event`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CoreEngine {
     /// Walk the full ROB/IFQ every cycle (the seed implementation).
@@ -15,37 +16,6 @@ pub enum CoreEngine {
     /// Completion-event heap, dependency wakeup lists, an explicit ready
     /// queue, and idle-cycle skipping.
     Event,
-}
-
-/// Process-wide engine default: 0 = unset, 1 = scan, 2 = event.
-static DEFAULT_ENGINE: AtomicU8 = AtomicU8::new(0);
-
-/// The engine newly built configurations start with.
-///
-/// Resolution order: the last [`set_default_engine`] call, then the
-/// `TH_CORE_ENGINE` environment variable (`scan` or `event`), then
-/// [`CoreEngine::Event`].
-pub fn default_engine() -> CoreEngine {
-    match DEFAULT_ENGINE.load(Ordering::Relaxed) {
-        1 => CoreEngine::Scan,
-        2 => CoreEngine::Event,
-        _ => match std::env::var("TH_CORE_ENGINE").as_deref() {
-            Ok("scan") => CoreEngine::Scan,
-            _ => CoreEngine::Event,
-        },
-    }
-}
-
-/// Overrides (or with `None`, resets to the environment/default) the
-/// engine used by subsequently constructed [`SimConfig`]s. Benchmarks use
-/// this to A/B the two engines within one process.
-pub fn set_default_engine(engine: Option<CoreEngine>) {
-    let v = match engine {
-        None => 0,
-        Some(CoreEngine::Scan) => 1,
-        Some(CoreEngine::Event) => 2,
-    };
-    DEFAULT_ENGINE.store(v, Ordering::Relaxed);
 }
 
 /// Structural core parameters (Table 1).
@@ -309,7 +279,7 @@ impl SimConfig {
             pipeline: PipelineConfig::baseline(),
             mem: MemConfig::default(),
             herding: HerdingConfig::off(),
-            engine: default_engine(),
+            engine: CoreEngine::Event,
         }
     }
 

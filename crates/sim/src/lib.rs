@@ -57,8 +57,7 @@ pub use crate::core::{SimResult, SimSession, Simulator};
 pub use branch::{BranchPredictor, BranchUpdate, Btb, BtbOutcome, ReturnStack};
 pub use cache::{Cache, CacheConfig, CacheKind, MemoryHierarchy, Tlb};
 pub use config::{
-    default_engine, set_default_engine, CoreEngine, CoreParams, FuLatencies, HerdingConfig,
-    MemConfig, PipelineConfig, SimConfig,
+    CoreEngine, CoreParams, FuLatencies, HerdingConfig, MemConfig, PipelineConfig, SimConfig,
 };
 pub use scheduler::{AllocPolicy, Scheduler};
 pub use stats::SimStats;

@@ -3,13 +3,14 @@
 //! Each preset expands one experiment into its independent shards:
 //! `fig8` and `fig9` are chip-run grids (workload × design point),
 //! `fig10` is the worst-case thermal search grid, and `dtm` is the
-//! closed-loop policy comparison. `selftest` is the orchestrator's own
+//! closed-loop policy comparison. The figure presets map the grids the
+//! experiment drivers run (`thermal_herding::experiments::*::grid`), so
+//! each grid is defined once. `selftest` is the orchestrator's own
 //! cheap exercise grid (used by tests and the CI resume gate).
 
 use crate::{ShardSpec, ShardTask, SweepSpec};
 use th_cosim::PolicyKind;
-use th_workloads::workload_names;
-use thermal_herding::experiments::fig10::WORST_CASE_CANDIDATES;
+use thermal_herding::experiments::{fig10, fig8, fig9};
 use thermal_herding::Variant;
 
 /// Default per-core instruction budget for the chip-run presets.
@@ -20,62 +21,48 @@ pub const DEFAULT_ROWS: usize = 16;
 /// unherded steady-state ceilings, as in the `dtm` experiment).
 pub const DTM_CAP_K: f64 = 376.0;
 
-/// The Figure 8 grid: every workload × the five design points.
+/// Maps a figure's `(workload, design point)` grid into a sweep with
+/// one `{name}/{workload}/{label}` shard per point, in grid order.
+fn grid_sweep(
+    name: &str,
+    grid: impl Iterator<Item = (&'static str, Variant)>,
+    task: impl Fn(String, Variant) -> ShardTask,
+) -> SweepSpec {
+    let shards = grid
+        .map(|(workload, variant)| ShardSpec {
+            id: format!("{name}/{workload}/{}", variant.label()),
+            task: task(workload.to_string(), variant),
+        })
+        .collect();
+    SweepSpec { name: name.into(), shards }
+}
+
+/// The Figure 8 grid ([`fig8::grid`]): every workload × the five design
+/// points.
 pub fn fig8(budget: u64) -> SweepSpec {
-    let shards = workload_names()
-        .flat_map(|name| {
-            Variant::figure8().iter().map(move |&variant| ShardSpec {
-                id: format!("fig8/{name}/{}", variant.label()),
-                task: ShardTask::ChipRun {
-                    workload: name.to_string(),
-                    variant,
-                    budget,
-                },
-            })
-        })
-        .collect();
-    SweepSpec { name: "fig8".into(), shards }
+    grid_sweep("fig8", fig8::grid(), chip_run(budget))
 }
 
-/// The Figure 9 grid: every workload × {planar, 3D without herding,
-/// 3D with herding}.
+/// The Figure 9 grid ([`fig9::grid`]): every workload × {planar, 3D with
+/// herding}, plus the bar workload × 3D without herding.
 pub fn fig9(budget: u64) -> SweepSpec {
-    let variants = [Variant::Base, Variant::ThreeDNoTh, Variant::ThreeD];
-    let shards = workload_names()
-        .flat_map(|name| {
-            variants.iter().map(move |&variant| ShardSpec {
-                id: format!("fig9/{name}/{}", variant.label()),
-                task: ShardTask::ChipRun {
-                    workload: name.to_string(),
-                    variant,
-                    budget,
-                },
-            })
-        })
-        .collect();
-    SweepSpec { name: "fig9".into(), shards }
+    grid_sweep("fig9", fig9::grid(), chip_run(budget))
 }
 
-/// The Figure 10 worst-case search grid: the hotspot candidate
-/// workloads × {planar, 3D without herding, 3D with herding}, each
-/// shard a chip run plus a steady-state thermal solve.
+fn chip_run(budget: u64) -> impl Fn(String, Variant) -> ShardTask {
+    move |workload, variant| ShardTask::ChipRun { workload, variant, budget }
+}
+
+/// The Figure 10 worst-case search grid ([`fig10::grid`]): the hotspot
+/// candidate workloads × {planar, 3D without herding, 3D with herding},
+/// each shard a chip run plus a steady-state thermal solve.
 pub fn fig10(budget: u64, rows: usize) -> SweepSpec {
-    let variants = [Variant::Base, Variant::ThreeDNoTh, Variant::ThreeD];
-    let shards = variants
-        .iter()
-        .flat_map(|&variant| {
-            WORST_CASE_CANDIDATES.iter().map(move |&name| ShardSpec {
-                id: format!("fig10/{name}/{}", variant.label()),
-                task: ShardTask::ThermalRun {
-                    workload: name.to_string(),
-                    variant,
-                    budget,
-                    rows,
-                },
-            })
-        })
-        .collect();
-    SweepSpec { name: "fig10".into(), shards }
+    grid_sweep("fig10", fig10::grid(), |workload, variant| ShardTask::ThermalRun {
+        workload,
+        variant,
+        budget,
+        rows,
+    })
 }
 
 /// The closed-loop DTM comparison: the two 3D design points × the three
@@ -121,29 +108,27 @@ fn dtm_task(variant: Variant, policy: PolicyKind) -> ShardTask {
     }
 }
 
-/// The Figure 10 worst-case row reduction, migrated from the
-/// experiment's hand-rolled loop onto sweep records: for each design
-/// point, the candidate with the highest solved peak (first strict
-/// maximum in candidate order, as the sequential loop picks it).
-/// Degraded shards simply don't compete. Returns
-/// `(variant label, workload, peak kelvin)` rows in preset order.
+/// The Figure 10 worst-case rows of a `fig10` sweep, reduced by
+/// [`fig10::worst_case_rows`] (first strict maximum in candidate order,
+/// whatever order the records come in). Degraded shards simply don't
+/// compete. Returns `(variant label, workload, peak kelvin)` rows in
+/// design-point order.
 pub fn fig10_worst_rows(outcome: &crate::SweepOutcome) -> Vec<(String, String, f64)> {
-    let mut rows: Vec<(String, String, f64)> = Vec::new();
-    for r in &outcome.records {
-        let Some(peak_k) = r.metric("peak_k") else { continue };
+    let points = outcome.records.iter().filter_map(|r| {
+        let peak_k = r.metric("peak_k")?;
         let mut parts = r.id.splitn(3, '/');
         let (Some("fig10"), Some(workload), Some(label)) =
             (parts.next(), parts.next(), parts.next())
         else {
-            continue;
+            return None;
         };
-        match rows.iter_mut().find(|(l, _, _)| l == label) {
-            Some(row) if peak_k > row.2 => *row = (label.into(), workload.into(), peak_k),
-            Some(_) => {}
-            None => rows.push((label.into(), workload.into(), peak_k)),
-        }
-    }
-    rows
+        let variant = fig10::VARIANTS.into_iter().find(|v| v.label() == label)?;
+        Some((variant, workload, peak_k))
+    });
+    fig10::worst_case_rows(points)
+        .into_iter()
+        .map(|(variant, workload, peak_k)| (variant.label().into(), workload.into(), peak_k))
+        .collect()
 }
 
 /// Eight cheap deterministic shards for exercising the orchestrator
@@ -199,9 +184,9 @@ mod tests {
 
     #[test]
     fn grid_sizes_match_the_experiments() {
-        let n = workload_names().len();
+        let n = th_workloads::workload_names().len();
         assert_eq!(fig8(1000).shards.len(), 5 * n);
-        assert_eq!(fig9(1000).shards.len(), 3 * n);
+        assert_eq!(fig9(1000).shards.len(), 2 * n + 1);
         assert_eq!(dtm().shards.len(), 6);
         assert_eq!(dtm_smoke().shards.len(), 1);
     }
@@ -269,6 +254,10 @@ mod tests {
                 ("3D".to_string(), "yacr2-like".to_string(), 372.0),
             ]
         );
+        // Ties break in candidate order, not record order.
+        let mut reversed = outcome;
+        reversed.records.reverse();
+        assert_eq!(fig10_worst_rows(&reversed), rows);
     }
 
     #[test]

@@ -311,3 +311,18 @@ fn thermal_shard_done_line_carries_its_phase_timings() {
     // Timings are telemetry: the deterministic metrics carry none of them.
     assert!(record.metrics.iter().all(|(k, _)| !k.ends_with("_s")));
 }
+
+#[test]
+fn fig10_preset_worst_rows_match_the_experiment_driver() {
+    let dir = RunDir::new("fig10-worst");
+    let spec = presets::fig10(15_000, 10);
+    let outcome = run_sweep(&spec, &dir.0, &fast_opts(), &Pool::new(2)).expect("sweep completes");
+    let rows = presets::fig10_worst_rows(&outcome);
+    let driver = thermal_herding::experiments::fig10::run(15_000, 10);
+    assert_eq!(rows.len(), driver.worst.len());
+    for ((label, workload, peak_k), w) in rows.iter().zip(&driver.worst) {
+        assert_eq!(label, w.variant.label());
+        assert_eq!(workload, w.workload, "{label}: worst app");
+        assert_eq!(peak_k.to_bits(), w.peak_k().to_bits(), "{label}: peak {peak_k}");
+    }
+}

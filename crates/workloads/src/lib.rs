@@ -100,53 +100,58 @@ pub struct Workload {
 /// Builds one kernel.
 type Constructor = fn() -> Workload;
 
-/// The registry: every kernel's name and constructor, in Figure 8's
+/// The registry: every kernel's name, suite and constructor, in Figure 8's
 /// suite order. Lookups call only the matching constructor, so asking
 /// for one kernel never builds the others (`mcf-like`'s 16 MB image
 /// dominates a full build).
-const REGISTRY: [(&str, Constructor); 22] = [
-    ("gzip-like", specint::gzip_like),
-    ("gcc-like", specint::gcc_like),
-    ("mcf-like", specint::mcf_like),
-    ("crafty-like", specint::crafty_like),
-    ("parser-like", specint::parser_like),
-    ("swim-like", specfp::swim_like),
-    ("art-like", specfp::art_like),
-    ("equake-like", specfp::equake_like),
-    ("mpeg2-like", media::mpeg2_like),
-    ("adpcm-like", media::adpcm_like),
-    ("jpeg-like", media::jpeg_like),
-    ("gsm-like", media::gsm_like),
-    ("susan-like", embedded::susan_like),
-    ("patricia-like", embedded::patricia_like),
-    ("dijkstra-like", embedded::dijkstra_like),
-    ("yacr2-like", pointer::yacr2_like),
-    ("treeadd-like", pointer::treeadd_like),
-    ("bisort-like", pointer::bisort_like),
-    ("perimeter-like", pointer::perimeter_like),
-    ("blast-like", bio::blast_like),
-    ("swalign-like", bio::swalign_like),
-    ("hmmer-like", bio::hmmer_like),
+const REGISTRY: [(&str, Suite, Constructor); 22] = [
+    ("gzip-like", Suite::SpecInt, specint::gzip_like),
+    ("gcc-like", Suite::SpecInt, specint::gcc_like),
+    ("mcf-like", Suite::SpecInt, specint::mcf_like),
+    ("crafty-like", Suite::SpecInt, specint::crafty_like),
+    ("parser-like", Suite::SpecInt, specint::parser_like),
+    ("swim-like", Suite::SpecFp, specfp::swim_like),
+    ("art-like", Suite::SpecFp, specfp::art_like),
+    ("equake-like", Suite::SpecFp, specfp::equake_like),
+    ("mpeg2-like", Suite::Media, media::mpeg2_like),
+    ("adpcm-like", Suite::Media, media::adpcm_like),
+    ("jpeg-like", Suite::Media, media::jpeg_like),
+    ("gsm-like", Suite::Media, media::gsm_like),
+    ("susan-like", Suite::Embedded, embedded::susan_like),
+    ("patricia-like", Suite::Embedded, embedded::patricia_like),
+    ("dijkstra-like", Suite::Embedded, embedded::dijkstra_like),
+    ("yacr2-like", Suite::Pointer, pointer::yacr2_like),
+    ("treeadd-like", Suite::Pointer, pointer::treeadd_like),
+    ("bisort-like", Suite::Pointer, pointer::bisort_like),
+    ("perimeter-like", Suite::Pointer, pointer::perimeter_like),
+    ("blast-like", Suite::Bio, bio::blast_like),
+    ("swalign-like", Suite::Bio, bio::swalign_like),
+    ("hmmer-like", Suite::Bio, bio::hmmer_like),
 ];
 
 /// Every workload name in registry order, without building anything.
 pub fn workload_names() -> impl ExactSizeIterator<Item = &'static str> {
-    REGISTRY.iter().map(|&(name, _)| name)
+    REGISTRY.iter().map(|&(name, _, _)| name)
+}
+
+/// The suite of a registry workload, without building it.
+pub fn workload_suite(name: &str) -> Option<Suite> {
+    REGISTRY.iter().find(|&&(n, _, _)| n == name).map(|&(_, suite, _)| suite)
 }
 
 /// Builds every workload in the registry.
 pub fn all_workloads() -> Vec<Workload> {
-    REGISTRY.iter().map(|&(_, build)| build()).collect()
+    REGISTRY.iter().map(|&(_, _, build)| build()).collect()
 }
 
 /// Builds the workloads of one suite.
 pub fn suite_workloads(suite: Suite) -> Vec<Workload> {
-    all_workloads().into_iter().filter(|w| w.suite == suite).collect()
+    REGISTRY.iter().filter(|&&(_, s, _)| s == suite).map(|&(_, _, build)| build()).collect()
 }
 
 /// Builds a single workload by name.
 pub fn workload_by_name(name: &str) -> Option<Workload> {
-    REGISTRY.iter().find(|&&(n, _)| n == name).map(|&(_, build)| build())
+    REGISTRY.iter().find(|&&(n, _, _)| n == name).map(|&(_, _, build)| build())
 }
 
 #[cfg(test)]
@@ -160,6 +165,9 @@ mod tests {
         for &suite in Suite::all() {
             let n = all.iter().filter(|w| w.suite == suite).count();
             assert!(n >= 2, "suite {suite} has only {n} workloads");
+        }
+        for w in &all {
+            assert_eq!(workload_suite(w.name), Some(w.suite), "{}: registry suite", w.name);
         }
         assert!(all.len() >= 18, "only {} workloads", all.len());
     }

@@ -9,11 +9,12 @@
 //! ```
 //!
 //! `policy` is one of `none`, `dvfs`, `fetch`, `herding` (default
-//! `dvfs`). Set `TH_COSIM_INTERVAL` (microseconds) to change the control
-//! interval, and `TH_THREADS` to bound the fan-out — the trace is
-//! bit-identical at any thread count.
+//! `dvfs`). The run uses the DTM study's standard interval structure
+//! (`DTM_INTERVAL_S` × `DTM_STEPS`, `DTM_SLICE_CYCLES` per interval). Set
+//! `TH_THREADS` to bound the fan-out — the trace is bit-identical at any
+//! thread count.
 
-use th_cosim::{CoSimConfig, PolicyKind};
+use th_cosim::PolicyKind;
 use th_workloads::workload_by_name;
 use thermal_herding::experiments::dtm;
 use thermal_herding::Variant;
@@ -27,18 +28,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let w = workload_by_name(&workload)
         .ok_or_else(|| format!("unknown workload `{workload}`"))?;
 
-    let cfg = CoSimConfig::sampled(dtm::DTM_INTERVAL_S, dtm::DTM_SLICE_CYCLES, dtm::DTM_STEPS)
-        .apply_env();
     println!(
         "closed-loop DTM [{}]: {cap_k:.0} K cap on {}, {:.1} ms interval x {} steps\n",
         kind.name(),
         w.name,
-        cfg.interval_s * 1e3,
-        cfg.steps,
+        dtm::DTM_INTERVAL_S * 1e3,
+        dtm::DTM_STEPS,
     );
 
     let traces = th_exec::pool().map(&[Variant::ThreeDNoTh, Variant::ThreeD], |&v| {
-        dtm::run_variant_scaled(v, &w, cap_k, 24, kind.build(cap_k), cfg)
+        dtm::run_variant_with_policy(v, &w, cap_k, 24, kind.build(cap_k))
     });
 
     for t in &traces {

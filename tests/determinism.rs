@@ -5,7 +5,7 @@
 //! observe the thread count.
 
 use th_exec::Pool;
-use thermal_herding::experiments::{fig8, fig9};
+use thermal_herding::experiments::{fig10, fig8, fig9};
 
 const BUDGET: u64 = 15_000;
 
@@ -68,5 +68,33 @@ fn fig9_power_is_bit_identical_across_thread_counts() {
         assert_eq!(a.workload, b.workload);
         assert_eq!(a.base_w.to_bits(), b.base_w.to_bits(), "{}", a.workload);
         assert_eq!(a.three_d_w.to_bits(), b.three_d_w.to_bits(), "{}", a.workload);
+    }
+}
+
+#[test]
+fn fig10_is_bit_identical_across_thread_counts() {
+    let seq = fig10::run_with_pool(BUDGET, 10, &Pool::new(1));
+    let par = fig10::run_with_pool(BUDGET, 10, &Pool::new(4));
+
+    assert_eq!(seq.worst.len(), par.worst.len());
+    for (a, b) in seq.worst.iter().zip(&par.worst) {
+        assert_eq!(a.variant, b.variant);
+        assert_eq!(a.workload, b.workload, "{}: worst app differs", a.variant);
+        let bits = |w: &fig10::WorstCase| -> Vec<u64> {
+            w.analysis.map.temps().iter().map(|t| t.to_bits()).collect()
+        };
+        assert_eq!(bits(a), bits(b), "{}: thermal map differs", a.variant);
+    }
+    assert_eq!(seq.same_app_workload, par.same_app_workload);
+    for (a, b) in seq.same_app.iter().zip(&par.same_app) {
+        assert_eq!(a.variant, b.variant);
+        assert_eq!(a.peak_k().to_bits(), b.peak_k().to_bits(), "{}: same-app peak", a.variant);
+    }
+    assert_eq!(seq.iso_power_peak_k.to_bits(), par.iso_power_peak_k.to_bits());
+    assert_eq!(seq.rob_ratios.0.to_bits(), par.rob_ratios.0.to_bits());
+    assert_eq!(seq.rob_ratios.1.to_bits(), par.rob_ratios.1.to_bits());
+    for ((ua, fa), (ub, fb)) in seq.measured_top_die.iter().zip(&par.measured_top_die) {
+        assert_eq!(ua, ub);
+        assert_eq!(fa.to_bits(), fb.to_bits(), "{}: top-die fraction", ua.label());
     }
 }
