@@ -25,6 +25,21 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # build or its unit tests.
 cargo test --release --offline --manifest-path sweepbench/Cargo.toml
 
+# Digest smoke: one short sweepbench run per BENCHMARK.json workload.
+# Each shard's metrics are hashed to the exact f64 bits and compared with
+# the digests recorded in sweepbench/expected/, so a change that moves a
+# single bit of a simulated result (a solver kernel, say) fails here.
+workloads=$(sed -n '/"workloads": \[/,/\]/p' BENCHMARK.json | grep -o '"name": "[^"]*"' | cut -d'"' -f4)
+for workload in $workloads; do
+    result=$(cargo run --release --offline -q --manifest-path sweepbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 2>/dev/null | tail -n 1)
+    if ! printf '%s\n' "$result" | grep -q '"correct": true'; then
+        echo "ci.sh: FAIL - sweepbench $workload does not match its recorded digests" >&2
+        exit 1
+    fi
+    echo "digest smoke: $workload matches its recorded digests"
+done
+
 # One pass of the suite with the execution layer at 4 lanes: the
 # determinism contract says every result is identical to the 1-lane
 # default the first `cargo test` above used.

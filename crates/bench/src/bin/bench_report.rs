@@ -1,7 +1,8 @@
 //! End-to-end pipeline benchmark: times the Figure 8/9/10 experiment
 //! sweeps at one thread and at the configured thread count, the core
-//! loop under both engines, and the thermal steady-state solve (scalar
-//! reference kernel vs red-black), and writes the measurements to
+//! loop under both engines, and the thermal steady-state solve (the
+//! Figure 10 sweep's four-die shape, and the scalar reference kernel vs
+//! red-black on a larger stack), and writes the measurements to
 //! `BENCH_pipeline.json`.
 //!
 //! ```text
@@ -266,6 +267,29 @@ fn main() {
         .unwrap();
     }
     writeln!(json, "  ]}},").unwrap();
+
+    // The steady solve as the fig10 sweep runs it: the mpeg2-like 3D
+    // run above, on the four-die stack at the sweep's grid. Assembly and
+    // power painting are included, as in the sweep's `solve_s`.
+    eprintln!("timing the fig10-shaped steady solve...");
+    let analysis = thermal_herding::thermal_analysis(&run, rows).expect("fig10 solve");
+    let layers = analysis.map.layer_count();
+    let sweeps = analysis.map.solve_stats().sweeps;
+    let fig10_ms = 1e3
+        * (0..3)
+            .map(|_| time_s(|| thermal_herding::thermal_analysis(&run, rows).expect("solves")).0)
+            .fold(f64::INFINITY, f64::min);
+    println!(
+        "thermal solve fig10 {rows}x{rows}x{layers}: red-black {fig10_ms:.2} ms, {sweeps} sweeps"
+    );
+    writeln!(
+        json,
+        "  \"thermal_solve_fig10\": {{\"variant\": \"3D\", \"workload\": \"{}\", \
+         \"rows\": {rows}, \"layers\": {layers}, \"red_black_ms\": {fig10_ms:.4}, \
+         \"sweeps\": {sweeps}}},",
+        w.name
+    )
+    .unwrap();
 
     eprintln!("timing thermal solve kernels at 64x64x9...");
     let scalar_s = thermal_solve_s(Kernel::Lexicographic, 64);

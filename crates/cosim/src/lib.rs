@@ -169,6 +169,7 @@ pub struct CoSimulator<'a> {
     unit_peaks_k: Vec<(Unit, f64)>,
     sim_wall_s: f64,
     solver_wall_s: f64,
+    solver_sweeps: usize,
 }
 
 impl<'a> CoSimulator<'a> {
@@ -246,6 +247,7 @@ impl<'a> CoSimulator<'a> {
             unit_peaks_k: Vec::new(),
             sim_wall_s: 0.0,
             solver_wall_s: 0.0,
+            solver_sweeps: 0,
         };
         cosim.unit_peaks_k = cosim.read_unit_peaks();
         cosim
@@ -371,10 +373,12 @@ impl<'a> CoSimulator<'a> {
 
         // 3. Heat: one implicit-Euler step of the interval's length.
         let solve_t0 = Instant::now();
-        self.transient
+        let stats = self
+            .transient
             .step(&grids, self.cfg.interval_s, &SolveOptions::default())
             .map_err(|e| e.to_string())?;
         self.solver_wall_s += solve_t0.elapsed().as_secs_f64();
+        self.solver_sweeps += stats.sweeps;
 
         let view = self.transient.view();
         let peak_k = self.transient.peak_k();
@@ -456,6 +460,7 @@ impl<'a> CoSimulator<'a> {
             unit_top_die,
             sim_wall_s: self.sim_wall_s,
             solver_wall_s: self.solver_wall_s,
+            solver_sweeps: self.solver_sweeps,
         })
     }
 }

@@ -66,6 +66,8 @@ pub struct CoSimReport {
     pub sim_wall_s: f64,
     /// Wall-clock seconds spent inside the thermal solver.
     pub solver_wall_s: f64,
+    /// Relaxation sweeps over all transient steps.
+    pub solver_sweeps: usize,
 }
 
 impl CoSimReport {
@@ -215,6 +217,7 @@ mod tests {
             unit_top_die: vec![],
             sim_wall_s: 0.0,
             solver_wall_s: 0.0,
+            solver_sweeps: 0,
         }
     }
 

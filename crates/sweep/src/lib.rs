@@ -185,6 +185,7 @@ impl ShardTask {
                         ("build_s".into(), build_s),
                         ("sim_s".into(), sim_s),
                         ("solve_s".into(), solve_s),
+                        ("solve_sweeps".into(), analysis.map.solve_stats().sweeps as f64),
                     ],
                 })
             }
@@ -222,6 +223,7 @@ impl ShardTask {
                         ("build_s".into(), build_s),
                         ("sim_wall_s".into(), trace.report.sim_wall_s),
                         ("solver_wall_s".into(), trace.report.solver_wall_s),
+                        ("solver_sweeps".into(), trace.report.solver_sweeps as f64),
                     ],
                 })
             }

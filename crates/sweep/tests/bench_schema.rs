@@ -103,3 +103,17 @@ fn thermal_solve_block_reports_both_kernels() {
     assert!(num(solve, "red_black_s") > 0.0);
     assert!(num(solve, "speedup") > 0.33, "red-black kernel implausibly slow");
 }
+
+#[test]
+fn fig10_solve_block_reports_the_sweeps_shape() {
+    let r = report();
+    let solve = r.get("thermal_solve_fig10").expect("fig10 thermal solve block");
+    assert!(solve.get("workload").and_then(Json::as_str).is_some());
+    assert_eq!(solve.get("variant").and_then(Json::as_str), Some("3D"));
+    // The four-die stack at the report's own fig10 grid.
+    assert_eq!(num(solve, "rows"), num(&r, "fig10_rows"));
+    assert!(num(solve, "layers") >= 4.0, "a four-die stack has at least four layers");
+    assert!(num(solve, "red_black_ms") > 0.0);
+    let sweeps = num(solve, "sweeps");
+    assert!(sweeps >= 1.0 && sweeps.fract() == 0.0, "sweeps must be a whole count, got {sweeps}");
+}

@@ -1,5 +1,6 @@
 //! Solved temperature fields and queries over them.
 
+use crate::solve::SolveStats;
 use std::fmt;
 
 /// A solved temperature field: `layers × rows × cols` kelvin values.
@@ -13,6 +14,8 @@ pub struct ThermalMap {
     /// Power-grid index of each layer (None = passive).
     power_index: Vec<Option<usize>>,
     temps: Vec<f64>,
+    /// The work of the steady solve that produced the field.
+    solve_stats: SolveStats,
 }
 
 /// A borrowed temperature field: the same queries as [`ThermalMap`]
@@ -185,7 +188,18 @@ impl ThermalMap {
     ) -> ThermalMap {
         assert_eq!(temps.len(), rows * cols * layers, "temperature field shape");
         assert_eq!(power_index.len(), layers);
-        ThermalMap { rows, cols, layers, width_m, height_m, power_index, temps }
+        let solve_stats = SolveStats::default();
+        ThermalMap { rows, cols, layers, width_m, height_m, power_index, temps, solve_stats }
+    }
+
+    pub(crate) fn with_solve_stats(self, solve_stats: SolveStats) -> ThermalMap {
+        ThermalMap { solve_stats, ..self }
+    }
+
+    /// The sweeps and final residual of the steady solve that produced
+    /// this map (zero for maps copied from a view or a transient field).
+    pub fn solve_stats(&self) -> SolveStats {
+        self.solve_stats
     }
 
     /// A borrowed view with the same queries.

@@ -11,18 +11,61 @@
 //! `layer + row + col`, so each cell's six stencil neighbours all carry
 //! the opposite color. A sweep relaxes all red cells, then all black
 //! cells; within one color pass every update reads only frozen
-//! opposite-color values, so the pass can be executed in parallel row
-//! strips (via [`th_exec::pool`]) with bit-identical results at any
-//! thread count. Per-cell stencil diagonals are precomputed at assembly
-//! time and interior cells take a branch-free fast path; convergence is
-//! measured every [`SolveOptions::check_every`] sweeps rather than every
-//! sweep. The transient uses implicit (backward) Euler, which is
+//! opposite-color values, so the pass can be executed in parallel
+//! strips of `(layer, row)` lines (via [`th_exec::pool`]) with
+//! bit-identical results at any thread count. Convergence is measured
+//! every [`SolveOptions::check_every`] sweeps rather than every sweep.
+//! The transient uses implicit (backward) Euler, which is
 //! unconditionally stable even with the µm-thin d2d layers' tiny time
 //! constants, re-using the same relaxation kernel per step with a `C/dt`
 //! self-term.
 //!
-//! The original sequential lexicographic sweep is retained as
-//! [`Kernel::Lexicographic`] for cross-validation and benchmarking.
+//! ## Color-split layout
+//!
+//! A solve (or transient step) converts the field once into two arrays,
+//! one per color, and converts it back at the end. Cell
+//! `(layer, row, col)` gets the padded index
+//! `layer·layer_stride + row·row_stride + col` with both strides odd, so
+//! the parity of that index is the cell's color, and a color's array
+//! holds index `g` at slot `g / 2`. Every `(layer, row)` line is
+//! therefore contiguous in its color's array, and every neighbour sits
+//! at the same slot offset for all cells of a color: W and E at
+//! `⌊(c ± 1) / 2⌋`, N and S at `⌊(c ± row_stride) / 2⌋`, D and U at
+//! `⌊(c ± layer_stride) / 2⌋`, for color `c`. Uniform offsets let a
+//! color pass relax whole bands of lines as single unit-stride runs
+//! (per layer: row 0, the rows between, and the last row), which
+//! vectorise; runs the length of one 16-column line cost about twice as
+//! much per cell. Each row ends in at least one zero pad, and zero
+//! margins surround the field; pads sit inside runs but have a zero
+//! reciprocal diagonal, so they stay zero.
+//!
+//! The layout moves cells, not arithmetic. Each pass reads one color's
+//! current values and writes its next values into a second buffer, and
+//! every cell gets exactly the expression the natural-layout kernel gave
+//! it:
+//!
+//! - A cell with all six faces takes
+//!   `b + gx(W+E) + gy(N+S) + gzm·D + gzp·U`, then
+//!   `old + ω(num·inv − old)`.
+//! - A cell on a face of the grid adds its face terms one at a time in
+//!   W, E, N, S, D, U order. An absent face contributes `+ 0·T` for a
+//!   finite `T` (a zero conductance, or a zero pad read across the row
+//!   end), and adding `+0.0` leaves every non-zero sum's bits alone. So
+//!   boundary rows and layers relax as plain runs with no per-face
+//!   branches.
+//! - The only cells whose run has the wrong stencil are columns 0 and
+//!   `cols − 1` of the grouped runs; each pass relaxes them again, on
+//!   their own, after the runs.
+//!
+//! Solves are therefore bit-identical, temperatures and sweep counts,
+//! to relaxing the natural layout in place; `tests/kernel_equivalence.rs`
+//! keeps that kernel as a test-only reference. On x86-64 the runs are
+//! also compiled for AVX2 and picked at run time: the wider vectors do
+//! the same IEEE operations in the same order (nothing is fused), so the
+//! bits do not depend on the CPU.
+//!
+//! [`Kernel::Lexicographic`] keeps the original sequential lexicographic
+//! sweep as a convergence oracle.
 
 use crate::map::{MapView, ThermalMap};
 use crate::model::StackModel;
@@ -73,6 +116,16 @@ impl Default for SolveOptions {
     }
 }
 
+/// The work one steady solve or transient step did.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct SolveStats {
+    /// Relaxation sweeps run.
+    pub sweeps: usize,
+    /// Maximum per-cell change of the last checked sweep, kelvin: below
+    /// [`SolveOptions::tolerance_k`] for a converged solve.
+    pub residual_k: f64,
+}
+
 /// Error returned when a solve fails.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SolveError {
@@ -111,11 +164,163 @@ impl fmt::Display for SolveError {
 
 impl std::error::Error for SolveError {}
 
-/// Shared write handle for a color pass. Lanes write disjoint cells
-/// (each lane owns a contiguous strip of `(layer, row)` lines, and
-/// within a pass only cells of the active color are written) and read
-/// only opposite-color cells frozen by the previous pass, so
-/// unsynchronised access is race-free.
+/// The stencil a run of cells shares.
+#[derive(Clone, Copy, Debug)]
+enum Stencil {
+    /// All six faces present: `b + gx(W+E) + gy(N+S) + gzm·D + gzp·U`,
+    /// as `[gx, gy, gzm, gzp]`.
+    Grouped([f64; 4]),
+    /// The face terms one at a time, as `[W, E, N, S, D, U]`
+    /// conductances. An absent N, S, D or U face has zero conductance;
+    /// an absent W or E face reads the zero pad past the row's end.
+    Sequential([f64; 6]),
+}
+
+/// Lines `lines.0..lines.1` of one layer, relaxed as one unit-stride
+/// run with one stencil.
+#[derive(Clone, Copy, Debug)]
+struct Run {
+    lines: (usize, usize),
+    stencil: Stencil,
+}
+
+/// A cell in column 0 or `cols − 1` of a grouped run: its W or E face
+/// is absent, so the run computes it with the wrong stencil and it is
+/// relaxed again on its own.
+#[derive(Clone, Copy, Debug)]
+struct Edge {
+    slot: usize,
+    /// `[W, E, N, S, D, U]` conductances, zero for an absent face.
+    g: [f64; 6],
+}
+
+/// Where one color's cells sit in the color-split layout and how they
+/// are relaxed.
+#[derive(Clone, Debug)]
+struct ColorPlan {
+    /// Slot offsets of the W, E, N, S, D and U neighbours in the other
+    /// color's array.
+    nbr: [isize; 6],
+    /// First slot of each line, plus the end of the last: line `lr`
+    /// owns slots `line_slot[lr]..line_slot[lr + 1]`, pads included.
+    line_slot: Vec<usize>,
+    /// Runs in line order; together they cover every line.
+    runs: Vec<Run>,
+    /// Edge cells of the grouped runs, in line order; line `lr`'s are
+    /// `edges[edge_start[lr]..edge_start[lr + 1]]`.
+    edges: Vec<Edge>,
+    edge_start: Vec<usize>,
+}
+
+/// Geometry of the color-split layout.
+///
+/// Cell `(layer, row, col)` has the padded index
+/// `layer·layer_stride + row·row_stride + col`. Both strides are odd, so
+/// the index's parity is the cell's color and every neighbour offset is
+/// the same for all cells of a color. A color's array holds padded index
+/// `g` at slot `margin + g / 2`. Every row ends in at least one pad (a
+/// layer may end in one more), and a margin of over half a layer stride
+/// precedes and follows the cells. Pads and margins stay zero; they are
+/// what a cell reads across an absent face.
+#[derive(Clone, Copy, Debug)]
+struct Layout {
+    layers: usize,
+    rows: usize,
+    cols: usize,
+    row_stride: usize,
+    layer_stride: usize,
+    margin: usize,
+}
+
+impl Layout {
+    fn new(layers: usize, rows: usize, cols: usize) -> Layout {
+        let row_stride = (cols + 1) | 1;
+        let layer_stride = (rows * row_stride) | 1;
+        Layout { layers, rows, cols, row_stride, layer_stride, margin: layer_stride / 2 + 1 }
+    }
+
+    fn padded(&self, layer: usize, row: usize, col: usize) -> usize {
+        layer * self.layer_stride + row * self.row_stride + col
+    }
+
+    fn slot(&self, padded: usize) -> usize {
+        self.margin + padded / 2
+    }
+
+    /// Length of each color array.
+    fn len(&self) -> usize {
+        2 * self.margin + (self.layers * self.layer_stride).div_ceil(2)
+    }
+}
+
+impl ColorPlan {
+    /// Plans `color`'s cells. Per layer, rows 0 and `rows − 1` each form
+    /// a run (they lack the N or S face) and the rows between form one;
+    /// that middle run is grouped in every layer but the first and last.
+    fn new(layout: Layout, color: usize, gx: &[f64], gy: &[f64], gz: &[f64]) -> ColorPlan {
+        let Layout { layers, rows, cols, .. } = layout;
+        // The first slot of `color` at or after padded index `g`.
+        let first_slot = |g: usize| layout.margin + (g + 1 - color) / 2;
+        let line_slot = (0..=layers * rows)
+            .map(|lr| first_slot(layout.padded(lr / rows, lr % rows, 0)))
+            .collect();
+        let mut bands = vec![(0, 1)];
+        if rows > 2 {
+            bands.push((1, rows - 1));
+        }
+        if rows > 1 {
+            bands.push((rows - 1, rows));
+        }
+        let edge_cols: &[usize] = if cols > 1 { &[0, cols - 1] } else { &[0] };
+        let mut runs = Vec::new();
+        let mut edges = Vec::new();
+        let mut edge_start = Vec::new();
+        for layer in 0..layers {
+            let (gx, gy) = (gx[layer], gy[layer]);
+            let gzm = if layer > 0 { gz[layer - 1] } else { 0.0 };
+            let gzp = gz.get(layer).copied().unwrap_or(0.0);
+            for &(r0, r1) in &bands {
+                let gn = if r0 > 0 { gy } else { 0.0 };
+                let gs = if r1 < rows { gy } else { 0.0 };
+                let grouped = layer > 0 && layer + 1 < layers && r0 > 0 && r1 < rows;
+                let stencil = if grouped {
+                    Stencil::Grouped([gx, gy, gzm, gzp])
+                } else {
+                    Stencil::Sequential([gx, gx, gn, gs, gzm, gzp])
+                };
+                runs.push(Run { lines: (layer * rows + r0, layer * rows + r1), stencil });
+                for row in r0..r1 {
+                    edge_start.push(edges.len());
+                    if !grouped {
+                        // W and E read the zero pads that bracket the
+                        // row, so the sequential run is right at the ends.
+                        continue;
+                    }
+                    for &col in edge_cols {
+                        let g = layout.padded(layer, row, col);
+                        if g & 1 == color {
+                            let gw = if col > 0 { gx } else { 0.0 };
+                            let ge = if col + 1 < cols { gx } else { 0.0 };
+                            let slot = layout.slot(g);
+                            edges.push(Edge { slot, g: [gw, ge, gy, gy, gzm, gzp] });
+                        }
+                    }
+                }
+            }
+        }
+        edge_start.push(edges.len());
+        // Padded index `g + delta` sits at slot offset
+        // `⌊(g + delta) / 2⌋ − g / 2`, the same for every `g` of `color`.
+        let offset = |delta: isize| (color as isize + delta).div_euclid(2);
+        let (sr, sl) = (layout.row_stride as isize, layout.layer_stride as isize);
+        let nbr = [offset(-1), offset(1), offset(-sr), offset(sr), offset(-sl), offset(sl)];
+        ColorPlan { nbr, line_slot, runs, edges, edge_start }
+    }
+}
+
+/// Shared write handle for a color pass. Lanes write disjoint line
+/// ranges of the pass color's next array and read only arrays no lane
+/// writes during the pass, so unsynchronised access is race-free.
 #[derive(Clone, Copy)]
 struct FieldPtr(*mut f64);
 
@@ -124,20 +329,24 @@ struct FieldPtr(*mut f64);
 // the pool's broadcast barrier orders passes.
 unsafe impl Sync for FieldPtr {}
 
+/// A field in color-split layout, one array per color.
+type Split = [Vec<f64>; 2];
+
 /// The assembled conductance network for a [`StackModel`] at a fixed
 /// grid resolution.
 ///
 /// Assembly precomputes, per cell, the stencil diagonal (the sum of all
 /// incident conductances, including the ambient link on the sink-side
 /// layer), so relaxation sweeps multiply by a cached reciprocal instead
-/// of re-deriving boundary terms cell by cell.
+/// of re-deriving boundary terms cell by cell, and per color the runs,
+/// edge cells and neighbour offsets of the color-split layout (see the
+/// module docs).
 ///
-/// Solves relax with red-black SOR by default: cells are colored by the
-/// parity of `layer + row + col`, each color pass runs in parallel row
-/// strips on the global [`th_exec::pool`], and convergence is checked
-/// every [`SolveOptions::check_every`] sweeps (intermediate sweeps skip
-/// residual tracking). [`Kernel::Lexicographic`] selects the sequential
-/// reference sweep instead.
+/// Solves relax with red-black SOR by default: each color pass runs in
+/// parallel line strips on the global [`th_exec::pool`], and convergence
+/// is checked every [`SolveOptions::check_every`] sweeps (intermediate
+/// sweeps skip residual tracking). [`Kernel::Lexicographic`] selects the
+/// sequential reference sweep instead.
 #[derive(Clone, Debug)]
 pub struct SteadySolver {
     model: StackModel,
@@ -156,6 +365,10 @@ pub struct SteadySolver {
     /// Per-cell steady-state stencil diagonal: the sum of all incident
     /// conductances (transient solves add `C/dt` on top).
     diag0: Vec<f64>,
+    /// Geometry of the color-split field.
+    layout: Layout,
+    /// Runs and edge cells of each color.
+    plans: [ColorPlan; 2],
 }
 
 impl SteadySolver {
@@ -217,7 +430,10 @@ impl SteadySolver {
                 }
             }
         }
-        SteadySolver { model, rows, cols, gx, gy, gz, g_amb, cap, diag0 }
+
+        let layout = Layout::new(n_layers, rows, cols);
+        let plans = [0, 1].map(|color| ColorPlan::new(layout, color, &gx, &gy, &gz));
+        SteadySolver { model, rows, cols, gx, gy, gz, g_amb, cap, diag0, layout, plans }
     }
 
     /// The underlying model.
@@ -264,217 +480,99 @@ impl SteadySolver {
         Ok(p)
     }
 
-    /// Folds the ambient link and (for transient steps) the implicit
-    /// `C/dt` self-term into a right-hand side `b` and the per-cell
-    /// reciprocal diagonal, so each red-black cell update is
-    /// `T ← T + ω (b + Σ G·T_nbr) / diag − ω T`.
-    fn assemble_system(
-        &self,
-        p: &[f64],
-        transient: Option<(f64, &[f64])>,
-    ) -> (Vec<f64>, Vec<f64>) {
-        let ambient = self.model.sink().ambient_k;
-        let cells = self.rows * self.cols;
-        let n_layers = self.model.layers().len();
-        let mut b = p.to_vec();
-        let mut inv_diag = Vec::with_capacity(b.len());
-        for layer in 0..n_layers {
-            let dtc = transient.map_or(0.0, |(dt_s, _)| self.cap[layer] / dt_s);
-            for cell in 0..cells {
-                let i = layer * cells + cell;
-                let mut d = self.diag0[i] + dtc;
-                if let Some((_, t_old)) = transient {
-                    b[i] += dtc * t_old[i];
+    /// Calls `f(i, color, slot)` for every cell: `i` is its natural
+    /// (layer-, then row-major) index and `slot` its index in `color`'s
+    /// array of the color-split layout.
+    fn for_each_cell(&self, mut f: impl FnMut(usize, usize, usize)) {
+        let mut i = 0;
+        for layer in 0..self.model.layers().len() {
+            for row in 0..self.rows {
+                for col in 0..self.cols {
+                    let g = self.layout.padded(layer, row, col);
+                    f(i, g & 1, self.layout.slot(g));
+                    i += 1;
                 }
-                if layer == 0 {
-                    b[i] += self.g_amb * ambient;
-                }
-                debug_assert!(d > 0.0);
-                if d <= 0.0 {
-                    d = 1.0;
-                }
-                inv_diag.push(1.0 / d);
             }
         }
+    }
+
+    /// A zeroed color-split field: pads and margins stay zero.
+    fn split_zeros(&self) -> Split {
+        [vec![0.0; self.layout.len()], vec![0.0; self.layout.len()]]
+    }
+
+    /// Folds the ambient link and (for transient steps) the implicit
+    /// `C/dt` self-term into a right-hand side `b` and the per-cell
+    /// reciprocal diagonal, both color-split, so each red-black cell
+    /// update is `T ← T + ω (b + Σ G·T_nbr) / diag − ω T`.
+    fn assemble_system(&self, p: &[f64], transient: Option<(f64, &[f64])>) -> (Split, Split) {
+        let ambient = self.model.sink().ambient_k;
+        let cells = self.rows * self.cols;
+        let mut b = self.split_zeros();
+        let mut inv_diag = self.split_zeros();
+        self.for_each_cell(|i, color, slot| {
+            let layer = i / cells;
+            let dtc = transient.map_or(0.0, |(dt_s, _)| self.cap[layer] / dt_s);
+            let mut bi = p[i];
+            let mut d = self.diag0[i] + dtc;
+            if let Some((_, t_old)) = transient {
+                bi += dtc * t_old[i];
+            }
+            if layer == 0 {
+                bi += self.g_amb * ambient;
+            }
+            debug_assert!(d > 0.0);
+            if d <= 0.0 {
+                d = 1.0;
+            }
+            b[color][slot] = bi;
+            inv_diag[color][slot] = 1.0 / d;
+        });
         (b, inv_diag)
     }
 
-    /// One red-black SOR sweep (both colors); returns the maximum
-    /// per-cell change if `track`, else 0.
+    /// One red-black SOR sweep (both colors) over a color-split field:
+    /// each color pass writes its color's next values into `spare`,
+    /// then swaps it in. Returns the maximum per-cell change if `track`,
+    /// else 0.
     ///
     /// Each color pass is fanned out over the global [`th_exec::pool`]
-    /// in contiguous `(layer, row)` strips. Because same-color cells
-    /// never read each other, the result is bit-identical for any strip
+    /// in contiguous line strips. Because same-color cells never read
+    /// each other, the result is bit-identical for any strip
     /// partitioning and thread count.
     fn sweep_red_black(
         &self,
-        t: &mut [f64],
-        b: &[f64],
-        inv_diag: &[f64],
+        t: &mut Split,
+        spare: &mut Split,
+        (b, inv_diag): (&Split, &Split),
         omega: f64,
         track: bool,
     ) -> f64 {
-        let n_lr = self.model.layers().len() * self.rows;
+        let n_lr = self.plans[0].line_slot.len() - 1;
         let pool = th_exec::pool();
         let strips = pool.threads().min(n_lr).max(1);
-        let bounds = |s: usize| (s * n_lr / strips, (s + 1) * n_lr / strips);
-        let field = FieldPtr(t.as_mut_ptr());
         let mut max_delta = 0.0f64;
         for color in 0..2usize {
+            let pass = ColorPass {
+                plan: &self.plans[color],
+                next: FieldPtr(spare[color].as_mut_ptr()),
+                old: &t[color],
+                other: &t[1 - color],
+                b: &b[color],
+                inv_diag: &inv_diag[color],
+                omega,
+            };
+            pool.for_each_index(strips, |s| {
+                // SAFETY: strips are disjoint line ranges, and a pass
+                // writes only its color's next array.
+                unsafe { pass.relax((s * n_lr / strips, (s + 1) * n_lr / strips)) }
+            });
+            std::mem::swap(&mut t[color], &mut spare[color]);
             if track {
-                let maxima = pool.map_indexed(strips, |s| {
-                    let (lo, hi) = bounds(s);
-                    let mut local = 0.0f64;
-                    for lr in lo..hi {
-                        // SAFETY: strips are disjoint `(layer, row)`
-                        // ranges and a pass only writes `color` cells.
-                        let d = unsafe {
-                            self.relax_line(field, b, inv_diag, omega, lr, color, true)
-                        };
-                        local = local.max(d);
-                    }
-                    local
-                });
-                for m in maxima {
-                    max_delta = max_delta.max(m);
-                }
-            } else {
-                pool.for_each_index(strips, |s| {
-                    let (lo, hi) = bounds(s);
-                    for lr in lo..hi {
-                        // SAFETY: as above.
-                        unsafe {
-                            self.relax_line(field, b, inv_diag, omega, lr, color, false);
-                        }
-                    }
-                });
+                max_delta = max_delta.max(max_change(&t[color], &spare[color]));
             }
         }
         max_delta
-    }
-
-    /// Relaxes the cells of one `(layer, row)` line that belong to
-    /// `color`. Interior lines (away from every face of the grid) take
-    /// a branch-free path using the precomputed diagonal; boundary
-    /// cells fall back to [`SteadySolver::relax_cell`].
-    ///
-    /// # Safety
-    ///
-    /// `field` must point to the full temperature vector; no other
-    /// thread may concurrently write cells of this line's color or read
-    /// cells this call writes (guaranteed by the red-black schedule).
-    // The argument list mirrors the solver's hot-loop state; bundling it
-    // into a struct would just rename the registers.
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn relax_line(
-        &self,
-        field: FieldPtr,
-        b: &[f64],
-        inv_diag: &[f64],
-        omega: f64,
-        lr: usize,
-        color: usize,
-        track: bool,
-    ) -> f64 {
-        let t = field.0;
-        let rows = self.rows;
-        let cols = self.cols;
-        let cells = rows * cols;
-        let n_layers = self.model.layers().len();
-        let layer = lr / rows;
-        let row = lr % rows;
-        let base = lr * cols;
-        // Columns of this line whose `(layer+row+col)` parity is `color`.
-        let parity = (color ^ (layer + row)) & 1;
-        let mut maxd = 0.0f64;
-
-        let interior = layer > 0 && layer + 1 < n_layers && row > 0 && row + 1 < rows;
-        if interior && cols >= 3 {
-            let gx = self.gx[layer];
-            let gy = self.gy[layer];
-            let gzm = self.gz[layer - 1];
-            let gzp = self.gz[layer];
-            if parity == 0 {
-                maxd = maxd.max(self.relax_cell(t, b, inv_diag, omega, layer, row, 0, track));
-            }
-            let mut col = if parity == 1 { 1 } else { 2 };
-            while col + 1 < cols {
-                let i = base + col;
-                let num = b[i]
-                    + gx * (*t.add(i - 1) + *t.add(i + 1))
-                    + gy * (*t.add(i - cols) + *t.add(i + cols))
-                    + gzm * *t.add(i - cells)
-                    + gzp * *t.add(i + cells);
-                let old = *t.add(i);
-                let updated = old + omega * (num * inv_diag[i] - old);
-                if track {
-                    maxd = maxd.max((updated - old).abs());
-                }
-                *t.add(i) = updated;
-                col += 2;
-            }
-            if (cols - 1) & 1 == parity && cols > 1 {
-                maxd = maxd
-                    .max(self.relax_cell(t, b, inv_diag, omega, layer, row, cols - 1, track));
-            }
-        } else {
-            let mut col = parity;
-            while col < cols {
-                maxd = maxd.max(self.relax_cell(t, b, inv_diag, omega, layer, row, col, track));
-                col += 2;
-            }
-        }
-        maxd
-    }
-
-    /// Relaxes one cell through the general (boundary-aware) stencil;
-    /// returns the absolute change if `track`, else 0.
-    ///
-    /// # Safety
-    ///
-    /// Same aliasing contract as [`SteadySolver::relax_line`].
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn relax_cell(
-        &self,
-        t: *mut f64,
-        b: &[f64],
-        inv_diag: &[f64],
-        omega: f64,
-        layer: usize,
-        row: usize,
-        col: usize,
-        track: bool,
-    ) -> f64 {
-        let cells = self.rows * self.cols;
-        let n_layers = self.model.layers().len();
-        let i = (layer * self.rows + row) * self.cols + col;
-        let mut num = b[i];
-        if col > 0 {
-            num += self.gx[layer] * *t.add(i - 1);
-        }
-        if col + 1 < self.cols {
-            num += self.gx[layer] * *t.add(i + 1);
-        }
-        if row > 0 {
-            num += self.gy[layer] * *t.add(i - self.cols);
-        }
-        if row + 1 < self.rows {
-            num += self.gy[layer] * *t.add(i + self.cols);
-        }
-        if layer > 0 {
-            num += self.gz[layer - 1] * *t.add(i - cells);
-        }
-        if layer + 1 < n_layers {
-            num += self.gz[layer] * *t.add(i + cells);
-        }
-        let old = *t.add(i);
-        let updated = old + omega * (num * inv_diag[i] - old);
-        *t.add(i) = updated;
-        if track {
-            (updated - old).abs()
-        } else {
-            0.0
-        }
     }
 
     /// One lexicographic SOR sweep; returns the maximum temperature
@@ -544,65 +642,72 @@ impl SteadySolver {
     }
 
     /// Relaxes `t` in place until the per-sweep residual drops below
-    /// tolerance, checking every `options.check_every` sweeps.
+    /// tolerance, checking every `options.check_every` sweeps. With
+    /// `dt_s`, solves one implicit-Euler step from the field `t` holds on
+    /// entry.
     fn relax_to_convergence(
         &self,
         t: &mut [f64],
         p: &[f64],
-        transient: Option<(f64, &[f64])>,
+        dt_s: Option<f64>,
         options: &SolveOptions,
-    ) -> Result<(), SolveError> {
+    ) -> Result<SolveStats, SolveError> {
         let check_every = options.check_every.max(1);
         let mut residual = f64::INFINITY;
+        let mut done = 0;
         match options.kernel {
             Kernel::RedBlack => {
-                let (b, inv_diag) = self.assemble_system(p, transient);
-                let mut done = 0;
+                let (b, inv_diag) = self.assemble_system(p, dt_s.map(|dt| (dt, &*t)));
+                let mut field = self.split_zeros();
+                self.for_each_cell(|i, color, slot| field[color][slot] = t[i]);
+                // Pads and margins are zero in both buffers; every pass
+                // rewrites its pads to zero.
+                let mut spare = self.split_zeros();
+                let system = (&b, &inv_diag);
                 while done < options.max_iters {
                     let block = check_every.min(options.max_iters - done);
                     for _ in 0..block - 1 {
-                        self.sweep_red_black(t, &b, &inv_diag, options.omega, false);
+                        self.sweep_red_black(&mut field, &mut spare, system, options.omega, false);
                     }
-                    residual = self.sweep_red_black(t, &b, &inv_diag, options.omega, true);
+                    residual =
+                        self.sweep_red_black(&mut field, &mut spare, system, options.omega, true);
                     done += block;
                     if residual < options.tolerance_k {
-                        return Ok(());
+                        break;
                     }
                 }
+                self.for_each_cell(|i, color, slot| t[i] = field[color][slot]);
             }
             Kernel::Lexicographic => {
-                let dt_cap: Vec<f64> = match transient {
-                    Some((dt_s, _)) => {
-                        let cells = self.rows * self.cols;
-                        let mut v = vec![0.0; p.len()];
-                        for (layer, cap) in self.cap.iter().enumerate() {
-                            for c in v[layer * cells..(layer + 1) * cells].iter_mut() {
-                                *c = cap / dt_s;
-                            }
-                        }
-                        v
+                let cells = self.rows * self.cols;
+                let (dt_cap, t_old) = match dt_s {
+                    Some(dt_s) => {
+                        let dt_cap = (0..t.len()).map(|i| self.cap[i / cells] / dt_s).collect();
+                        (dt_cap, t.to_vec())
                     }
-                    None => Vec::new(),
+                    None => (Vec::new(), Vec::new()),
                 };
-                let t_old: &[f64] = transient.map_or(&[], |(_, old)| old);
-                let mut done = 0;
                 while done < options.max_iters {
                     let block = check_every.min(options.max_iters - done);
                     for _ in 0..block {
-                        residual =
-                            self.sweep_lexicographic(t, p, options.omega, &dt_cap, t_old);
+                        residual = self.sweep_lexicographic(t, p, options.omega, &dt_cap, &t_old);
                     }
                     done += block;
                     if residual < options.tolerance_k {
-                        return Ok(());
+                        break;
                     }
                 }
             }
         }
-        Err(SolveError::NotConverged(residual))
+        if residual < options.tolerance_k {
+            Ok(SolveStats { sweeps: done, residual_k: residual })
+        } else {
+            Err(SolveError::NotConverged(residual))
+        }
     }
 
-    /// Solves for the steady-state temperature field.
+    /// Solves for the steady-state temperature field. The map's
+    /// [`ThermalMap::solve_stats`] records the sweeps the solve took.
     ///
     /// # Errors
     ///
@@ -618,8 +723,8 @@ impl SteadySolver {
         // Warm start at the bulk estimate: ambient plus sink rise.
         let start = ambient + total_power * self.model.sink().resistance_k_per_w;
         let mut t = vec![start; p.len()];
-        self.relax_to_convergence(&mut t, &p, None, options)?;
-        Ok(self.wrap(t))
+        let stats = self.relax_to_convergence(&mut t, &p, None, options)?;
+        Ok(self.wrap(t).with_solve_stats(stats))
     }
 
     fn wrap(&self, temps: Vec<f64>) -> ThermalMap {
@@ -632,6 +737,145 @@ impl SteadySolver {
             self.model.layers().iter().map(|l| l.power_index).collect(),
             temps,
         )
+    }
+}
+
+/// The largest `|now − was|`. Four lanes of maxima keep the
+/// comparisons independent; the maximum of a set does not depend on the
+/// order it is taken in.
+fn max_change(now: &[f64], was: &[f64]) -> f64 {
+    let mut lanes = [0.0f64; 4];
+    let (now4, was4) = (now.chunks_exact(4), was.chunks_exact(4));
+    let tail = now4.remainder().iter().zip(was4.remainder());
+    for (n, w) in now4.zip(was4) {
+        for k in 0..4 {
+            lanes[k] = lanes[k].max((n[k] - w[k]).abs());
+        }
+    }
+    tail.fold(lanes.into_iter().fold(0.0, f64::max), |m, (n, w)| m.max((n - w).abs()))
+}
+
+/// One color pass of a red-black sweep.
+struct ColorPass<'a> {
+    plan: &'a ColorPlan,
+    /// The pass color's next values: an array as long as `old`.
+    next: FieldPtr,
+    /// The pass color's current values.
+    old: &'a [f64],
+    /// The other color's values.
+    other: &'a [f64],
+    b: &'a [f64],
+    inv_diag: &'a [f64],
+    omega: f64,
+}
+
+impl ColorPass<'_> {
+    /// Relaxes the pass color's cells on lines `lines.0..lines.1` into
+    /// its next array.
+    ///
+    /// # Safety
+    ///
+    /// No other thread may touch these lines' slots of `next` during the
+    /// call.
+    unsafe fn relax(&self, lines: (usize, usize)) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU has AVX2, and the caller upholds the
+            // aliasing contract.
+            return self.relax_avx2(lines);
+        }
+        self.relax_body(lines)
+    }
+
+    /// [`ColorPass::relax_body`] compiled for AVX2. The wider vectors
+    /// perform the same IEEE operations in the same order (nothing is
+    /// fused), so the bits match the baseline build's.
+    ///
+    /// # Safety
+    ///
+    /// As [`ColorPass::relax`], on a CPU with AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn relax_avx2(&self, lines: (usize, usize)) {
+        self.relax_body(lines)
+    }
+
+    /// Runs update every slot of their lines, pads included; a pad has
+    /// a zero reciprocal diagonal, so it stays zero. Edge cells of
+    /// grouped runs are then overwritten with their own update.
+    ///
+    /// # Safety
+    ///
+    /// As [`ColorPass::relax`].
+    #[inline(always)]
+    unsafe fn relax_body(&self, (lo, hi): (usize, usize)) {
+        let ColorPass { plan, old, other, b, inv_diag, omega, .. } = *self;
+        let nbr = |slot: usize, j: usize| slot.wrapping_add_signed(plan.nbr[j]);
+        for run in &plan.runs {
+            let (first, last) = (run.lines.0.max(lo), run.lines.1.min(hi));
+            if first >= last {
+                continue;
+            }
+            let (s0, s1) = (plan.line_slot[first], plan.line_slot[last]);
+            let own = [&old[s0..s1], &b[s0..s1], &inv_diag[s0..s1]];
+            // SAFETY: `next` is as long as `old`, which just bounds-checked
+            // `s0..s1`; those are slots of lines `lo..hi`, which this call
+            // alone touches (see `relax`).
+            let next = std::slice::from_raw_parts_mut(self.next.0.add(s0), s1 - s0);
+            let nbrs = std::array::from_fn(|j| &other[nbr(s0, j)..nbr(s1, j)]);
+            relax_run(next, own, nbrs, run.stencil, omega);
+        }
+        for e in &plan.edges[plan.edge_start[lo]..plan.edge_start[hi]] {
+            let i = e.slot;
+            let [gw, ge, gn, gs, gd, gu] = e.g;
+            let mut num = b[i];
+            num += gw * other[nbr(i, 0)];
+            num += ge * other[nbr(i, 1)];
+            num += gn * other[nbr(i, 2)];
+            num += gs * other[nbr(i, 3)];
+            num += gd * other[nbr(i, 4)];
+            num += gu * other[nbr(i, 5)];
+            let updated = old[i] + omega * (num * inv_diag[i] - old[i]);
+            // SAFETY: `old[i]` bounds-checked `i`, and edge `i` lies on a
+            // line in `lo..hi`.
+            *self.next.0.add(i) = updated;
+        }
+    }
+}
+
+/// Relaxes a unit-stride run of cells with one stencil into `next`,
+/// from the cells' current values, right-hand sides and reciprocal
+/// diagonals and from their W, E, N, S, D and U neighbours.
+#[inline(always)]
+fn relax_run(
+    next: &mut [f64],
+    [old, b, inv_diag]: [&[f64]; 3],
+    [w, e, n, s, d, u]: [&[f64]; 6],
+    stencil: Stencil,
+    omega: f64,
+) {
+    let m = next.len();
+    let (old, b, inv_diag) = (&old[..m], &b[..m], &inv_diag[..m]);
+    let (w, e, n, s, d, u) = (&w[..m], &e[..m], &n[..m], &s[..m], &d[..m], &u[..m]);
+    match stencil {
+        Stencil::Grouped([gx, gy, gzm, gzp]) => {
+            for k in 0..m {
+                let num = b[k] + gx * (w[k] + e[k]) + gy * (n[k] + s[k]) + gzm * d[k] + gzp * u[k];
+                next[k] = old[k] + omega * (num * inv_diag[k] - old[k]);
+            }
+        }
+        Stencil::Sequential([gw, ge, gn, gs, gd, gu]) => {
+            for k in 0..m {
+                let mut num = b[k];
+                num += gw * w[k];
+                num += ge * e[k];
+                num += gn * n[k];
+                num += gs * s[k];
+                num += gd * d[k];
+                num += gu * u[k];
+                next[k] = old[k] + omega * (num * inv_diag[k] - old[k]);
+            }
+        }
     }
 }
 
@@ -655,8 +899,6 @@ impl SteadySolver {
 pub struct TransientSolver {
     solver: SteadySolver,
     t: Vec<f64>,
-    /// Previous-step field, double-buffered so `step` allocates nothing.
-    t_old: Vec<f64>,
     /// Per-layer power index, cached so borrowing views needs no rebuild.
     power_index: Vec<Option<usize>>,
     elapsed_s: f64,
@@ -686,7 +928,7 @@ impl TransientSolver {
 
     fn with_field(solver: SteadySolver, t: Vec<f64>) -> TransientSolver {
         let power_index = solver.model.layers().iter().map(|l| l.power_index).collect();
-        TransientSolver { t_old: t.clone(), t, power_index, solver, elapsed_s: 0.0 }
+        TransientSolver { t, power_index, solver, elapsed_s: 0.0 }
     }
 
     /// Simulated time elapsed so far, seconds.
@@ -695,7 +937,7 @@ impl TransientSolver {
     }
 
     /// Advances one implicit-Euler step of `dt_s` seconds under the given
-    /// power maps.
+    /// power maps, returning the sweeps the step took.
     ///
     /// # Errors
     ///
@@ -706,12 +948,11 @@ impl TransientSolver {
         power: &[PowerGrid],
         dt_s: f64,
         options: &SolveOptions,
-    ) -> Result<(), SolveError> {
+    ) -> Result<SolveStats, SolveError> {
         let p = self.solver.assemble_power(power)?;
-        self.t_old.copy_from_slice(&self.t);
-        self.solver.relax_to_convergence(&mut self.t, &p, Some((dt_s, &self.t_old)), options)?;
+        let stats = self.solver.relax_to_convergence(&mut self.t, &p, Some(dt_s), options)?;
         self.elapsed_s += dt_s;
-        Ok(())
+        Ok(stats)
     }
 
     /// Raw temperatures, layer-major then row-major.

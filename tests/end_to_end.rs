@@ -1,10 +1,12 @@
 //! End-to-end integration tests: assemble → simulate → price power →
 //! solve thermals, across crates.
 
+use th_cosim::{CoSimConfig, PolicyKind};
 use th_isa::parse_asm;
 use th_sim::{SimConfig, Simulator};
 use th_stack3d::Unit;
 use th_workloads::{all_workloads, workload_by_name};
+use thermal_herding::experiments::dtm;
 use thermal_herding::{run_chip, thermal_analysis, Variant};
 
 #[test]
@@ -133,4 +135,46 @@ fn herding_top_die_fractions_golden() {
         let got = table.fractions(unit)[0];
         assert!((got - want).abs() < 1e-4, "{unit}: measured top-die {got:.6}, golden {want:.6}");
     }
+}
+
+#[test]
+fn thermal_peaks_bit_golden() {
+    // Exact f64 bits of the steady peaks (mpeg2-like at 15 000
+    // instructions, on the fig10 sweep's 16-row grid) and of one short
+    // closed-loop run's transient peak (3D under DVFS, 10 intervals at
+    // 10 rows). Any change to the solver's arithmetic, however small,
+    // moves these bits, as it would move the sweepbench digests; a
+    // faster kernel must leave them alone.
+    const STEADY: [(Variant, u64); 3] = [
+        (Variant::Base, 0x4075_4d1f_d3b0_8806),
+        (Variant::ThreeDNoTh, 0x4075_bb0f_d32a_ce6b),
+        (Variant::ThreeD, 0x4075_a38d_2282_8e4c),
+    ];
+    const COSIM_MAX_PEAK: u64 = 0x4076_e96f_c8d3_9a6a;
+    let w = workload_by_name("mpeg2-like").unwrap();
+    for (variant, want) in STEADY {
+        let run = run_chip(variant, &w, 15_000).expect("runs");
+        let peak = thermal_analysis(&run, 16).expect("solves").peak_k();
+        assert_eq!(
+            peak.to_bits(),
+            want,
+            "{variant}: peak {peak} K, golden {} K",
+            f64::from_bits(want)
+        );
+    }
+    let trace = dtm::run_variant_scaled(
+        Variant::ThreeD,
+        &w,
+        376.0,
+        10,
+        PolicyKind::Dvfs.build(376.0),
+        CoSimConfig::sampled(0.02, 20_000, 10),
+    );
+    let peak = trace.max_peak_k();
+    assert_eq!(
+        peak.to_bits(),
+        COSIM_MAX_PEAK,
+        "cosim max peak {peak} K, golden {} K",
+        f64::from_bits(COSIM_MAX_PEAK)
+    );
 }
