@@ -1,19 +1,20 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus a bench smoke pass and a perf-regression guard.
+# Tier-1 verification plus lint and doc gates, the benchmark's digest
+# smoke and two perf-regression guards.
 #
-#   ./ci.sh            build + test + bench smoke + perf guard
+#   ./ci.sh                build + test + gates + digest smoke + perf guards
 #   TH_THREADS=4 ./ci.sh   same, with the execution layer at 4 lanes
 #
-# TH_BENCH_FAST=1 shrinks the Criterion warm-up/measurement budgets so
-# the bench pass is a compile-and-run smoke, not a measurement.
+# Every JSON file and JSON line is read by the typed `bench_check`
+# binary (crates/bench/src/bin/bench_check.rs), never by text matching.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release
 cargo test -q --release
 
-# Lint gate: the workspace (including tests, benches, and examples)
-# must be clippy-clean.
+# Lint gate: the workspace (including tests and examples) must be
+# clippy-clean.
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Doc gate: the workspace documents warning-free, so a deleted item can
@@ -25,19 +26,19 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # build or its unit tests.
 cargo test --release --offline --manifest-path sweepbench/Cargo.toml
 
+bench_check=$PWD/target/release/bench_check
+
 # Digest smoke: one short sweepbench run per BENCHMARK.json workload.
 # Each shard's metrics are hashed to the exact f64 bits and compared with
 # the digests recorded in sweepbench/expected/, so a change that moves a
 # single bit of a simulated result (a solver kernel, say) fails here.
-workloads=$(sed -n '/"workloads": \[/,/\]/p' BENCHMARK.json | grep -o '"name": "[^"]*"' | cut -d'"' -f4)
+# (The list is read into a variable first: a failing substitution in a
+# `for` list would not stop the script.)
+workloads=$("$bench_check" workloads BENCHMARK.json)
 for workload in $workloads; do
-    result=$(cargo run --release --offline -q --manifest-path sweepbench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 1 --trace 0 2>/dev/null | tail -n 1)
-    if ! printf '%s\n' "$result" | grep -q '"correct": true'; then
-        echo "ci.sh: FAIL - sweepbench $workload does not match its recorded digests" >&2
-        exit 1
-    fi
-    echo "digest smoke: $workload matches its recorded digests"
+    cargo run --release --offline -q --manifest-path sweepbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 2>/dev/null \
+        | "$bench_check" verdict "$workload"
 done
 
 # One pass of the suite with the execution layer at 4 lanes: the
@@ -45,69 +46,19 @@ done
 # default the first `cargo test` above used.
 TH_THREADS=4 cargo test -q --release
 
-# Sweep orchestrator gate: a fault-injected selftest sweep must retry,
-# degrade the permanently failing shard without aborting its siblings,
-# and — rerun into the same directory with the faults lifted — resume
-# every finished shard from its checkpoint and recompute only the
-# degraded one.
-sweep_dir=$(mktemp -d)/selftest
-sweep_bin=$PWD/target/release/sweep
-TH_SWEEP_FAULT='selftest-2:1,selftest-5:inf' "$sweep_bin" selftest --dir "$sweep_dir" --quiet
-if ! grep -q '"id": "selftest-5", "status": "degraded"' "$sweep_dir"/shards/selftest-5.json; then
-    echo "ci.sh: FAIL - fault-injected shard did not degrade" >&2
-    exit 1
-fi
-"$sweep_bin" selftest --dir "$sweep_dir" --quiet
-if ! grep -q '"id": "selftest-5", "status": "done"' "$sweep_dir"/shards/selftest-5.json; then
-    echo "ci.sh: FAIL - resumed sweep did not recompute the degraded shard" >&2
-    exit 1
-fi
-retries=$(grep -c '"event": "shard_retry"' "$sweep_dir"/telemetry.jsonl || true)
-if [ "$retries" -lt 1 ]; then
-    echo "ci.sh: FAIL - fault injection produced no visible retries" >&2
-    exit 1
-fi
-rm -rf "$(dirname "$sweep_dir")"
-echo "sweep gate: fault-injected selftest degraded, resumed, and recovered"
-
-# Bench smoke: the thermal kernel comparison, just to prove it runs end
-# to end.
-TH_BENCH_FAST=1 cargo bench -p th-bench --bench thermal_sweep
-
-# Perf-regression guard: rerun bench_report at the committed report's own
-# budget in a scratch directory (so the repo's BENCH_pipeline.json is
-# never dirtied) and compare the fig8 sequential time against the
-# committed number. Wall-clock on shared CI hosts is noisy, so only a
-# >1.5x slowdown fails; faster is always fine.
-committed=BENCH_pipeline.json
-budget=$(grep -o '"budget_insts": *[0-9]*' "$committed" | grep -o '[0-9]*')
-rows=$(grep -o '"fig10_rows": *[0-9]*' "$committed" | grep -o '[0-9]*')
+# Perf-regression guards: rerun bench_report at the committed report's
+# own budget and grid in a scratch directory (so the repo's
+# BENCH_pipeline.json is never dirtied), then compare the fig8 sequential
+# sweep and the closed-loop co-simulation smoke against the committed
+# times. Wall-clock on shared CI hosts is noisy, so only a >1.5x slowdown
+# fails; faster is always fine.
+committed=$PWD/BENCH_pipeline.json
+rerun_args=$("$bench_check" rerun-args "$committed")
 guard_dir=$(mktemp -d)
 trap 'rm -rf "$guard_dir"' EXIT
 bench_bin=$PWD/target/release/bench_report
-(cd "$guard_dir" && TH_THREADS=1 "$bench_bin" "$budget" "$rows")
-old=$(grep -o '"name": "fig8", "seq_s": *[0-9.]*' "$committed" | grep -o '[0-9.]*$')
-new=$(grep -o '"name": "fig8", "seq_s": *[0-9.]*' "$guard_dir/BENCH_pipeline.json" | grep -o '[0-9.]*$')
-if ! awk -v old="$old" -v new="$new" 'BEGIN {
-    ratio = new / old
-    printf "perf guard: fig8 seq %.2fs fresh vs %.2fs committed (%.2fx)\n", new, old, ratio
-    exit ratio > 1.5 ? 1 : 0
-}'; then
-    echo "ci.sh: FAIL - fig8 sequential time regressed more than 1.5x" >&2
-    exit 1
-fi
-
-# Same guard for the closed-loop co-simulation smoke that bench_report
-# just ran (30 intervals of perform/price/heat/react).
-old=$(grep -o '"cosim": {"intervals": [0-9]*, "total_s": *[0-9.]*' "$committed" | grep -o '[0-9.]*$')
-new=$(grep -o '"cosim": {"intervals": [0-9]*, "total_s": *[0-9.]*' "$guard_dir/BENCH_pipeline.json" | grep -o '[0-9.]*$')
-if ! awk -v old="$old" -v new="$new" 'BEGIN {
-    ratio = new / old
-    printf "perf guard: cosim smoke %.2fs fresh vs %.2fs committed (%.2fx)\n", new, old, ratio
-    exit ratio > 1.5 ? 1 : 0
-}'; then
-    echo "ci.sh: FAIL - closed-loop co-simulation time regressed more than 1.5x" >&2
-    exit 1
-fi
+# shellcheck disable=SC2086 # rerun_args is "<budget> <rows>"
+(cd "$guard_dir" && TH_THREADS=1 "$bench_bin" $rerun_args)
+"$bench_check" guard "$committed" "$guard_dir/BENCH_pipeline.json"
 
 echo "ci.sh: all checks passed"

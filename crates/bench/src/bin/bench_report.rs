@@ -1,8 +1,7 @@
 //! End-to-end pipeline benchmark: times the Figure 8/9/10 experiment
-//! sweeps at one thread and at the configured thread count, the core
-//! loop under both engines, and the thermal steady-state solve (the
-//! Figure 10 sweep's four-die shape, and the scalar reference kernel vs
-//! red-black on a larger stack), and writes the measurements to
+//! sweeps at one thread and at the configured thread count, the
+//! closed-loop co-simulation smoke and, as the thermal smoke, the steady
+//! solve the Figure 10 sweep runs, and writes the measurements to
 //! `BENCH_pipeline.json`.
 //!
 //! ```text
@@ -15,21 +14,19 @@
 //! measurement. The parallel leg uses `TH_THREADS` lanes (default:
 //! available parallelism); the sequential leg always uses one.
 //! Defaults: a 60 000-instruction budget and a 16×16 Figure 10 grid, so
-//! the report finishes in minutes rather than the full paper-scale
-//! sweep.
+//! the report finishes in seconds rather than the full paper-scale
+//! sweep. `bench_check` reads the report back.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::process::ExitCode;
 use std::time::Instant;
 use th_exec::Pool;
-use th_sim::{CoreEngine, SimConfig, Simulator};
+use th_sweep::json::Json;
 use th_sweep::{presets, run_sweep, SweepOptions, SweepOutcome, SweepSpec};
-use th_thermal::{
-    Kernel, Material, ModelLayer, PowerGrid, SolveOptions, StackModel, SteadySolver,
-};
 use th_workloads::workload_by_name;
-use thermal_herding::experiments::fig8;
 use thermal_herding::Variant;
+
+const USAGE: &str = "usage: bench_report [budget-insts] [fig10-rows] (positive integers; \
+                     defaults 60000 and 16)";
 
 fn time_s<R>(f: impl FnOnce() -> R) -> (f64, R) {
     let t0 = Instant::now();
@@ -38,107 +35,74 @@ fn time_s<R>(f: impl FnOnce() -> R) -> (f64, R) {
     (t0.elapsed().as_secs_f64(), r)
 }
 
-/// A throwaway sweep run directory; removed on drop so back-to-back
-/// timings never resume each other's checkpoints.
-struct ScratchDir(PathBuf);
-
-impl ScratchDir {
-    fn new(tag: &str) -> ScratchDir {
-        let dir = std::env::temp_dir().join(format!(
-            "th-bench-sweep-{tag}-{}-{}",
-            std::process::id(),
-            NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        ScratchDir(dir)
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// One timed pass of a preset sweep into a fresh scratch directory.
-/// Every shard must succeed — a degraded shard means the measurement is
-/// not comparable, so fail loudly instead of reporting a skewed number.
+/// One timed pass of a preset sweep into a fresh scratch run directory,
+/// so no checkpoint resume short-circuits the measurement. Every shard
+/// must succeed — a degraded shard means the measurement is not
+/// comparable, so fail loudly instead of reporting a skewed number.
 fn timed_sweep(spec: &SweepSpec, pool: &Pool) -> (f64, SweepOutcome) {
-    let scratch = ScratchDir::new(&spec.name);
+    let dir =
+        std::env::temp_dir().join(format!("th-bench-sweep-{}-{}", spec.name, std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let opts = SweepOptions::default();
-    let (secs, outcome) = time_s(|| {
-        run_sweep(spec, &scratch.0, &opts, pool).expect("sweep runs")
-    });
+    let (secs, outcome) = time_s(|| run_sweep(spec, &dir, &opts, pool).expect("sweep runs"));
+    let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(outcome.degraded(), 0, "{}: degraded shards skew the timing", spec.name);
     (secs, outcome)
 }
 
-/// A 9-layer, 3-active-die stack for the thermal kernel comparison.
-fn nine_layer_model() -> StackModel {
-    StackModel::new(
-        5.5e-3,
-        5.8e-3,
-        vec![
-            ModelLayer::passive(1.0e-3, Material::COPPER),
-            ModelLayer::passive(50e-6, Material::TIM_ALLOY),
-            ModelLayer::passive(100e-6, Material::SILICON),
-            ModelLayer::active(2e-6, Material::SILICON, 0),
-            ModelLayer::passive(5e-6, Material::BOND_INTERFACE),
-            ModelLayer::active(2e-6, Material::SILICON, 1),
-            ModelLayer::passive(20e-6, Material::BOND_INTERFACE),
-            ModelLayer::active(2e-6, Material::SILICON, 2),
-            ModelLayer::passive(50e-6, Material::SILICON),
-        ],
-        Default::default(),
-    )
+/// `[budget] [rows]`, both positive integers; `None` on anything else.
+fn parse_args(args: &[String]) -> Option<(u64, usize)> {
+    let (budget, rows) = match args {
+        [] => (60_000, 16),
+        [budget] => (budget.parse().ok()?, 16),
+        [budget, rows] => (budget.parse().ok()?, rows.parse().ok()?),
+        _ => return None,
+    };
+    (budget > 0 && rows > 0).then_some((budget, rows))
 }
 
-fn thermal_solve_s(kernel: Kernel, rows: usize) -> f64 {
-    let solver = SteadySolver::new(nine_layer_model(), rows, rows);
-    let grids: Vec<PowerGrid> = (0..3)
-        .map(|die| {
-            let mut g = PowerGrid::new(rows, rows, 5.5e-3, 5.8e-3);
-            g.paint_rect(0.0, 0.0, 5.5e-3, 5.8e-3, 10.0);
-            g.paint_rect(1.1e-3, 1.7e-3, 1.9e-3, 2.9e-3, 4.0 + die as f64);
-            g
+/// A JSON number at the report's four-decimal precision.
+fn num(v: f64) -> Json {
+    Json::Num((v * 1e4).round() / 1e4)
+}
+
+fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
+    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// The report with one top-level field per line, and one array element
+/// per line.
+fn render(report: &Json) -> String {
+    let fields = report.as_obj().expect("the report is an object");
+    let lines: Vec<String> = fields
+        .iter()
+        .map(|(key, value)| match value.as_arr() {
+            Some(items) => {
+                let items: Vec<String> = items.iter().map(|v| format!("    {v}")).collect();
+                format!("  {}: [\n{}\n  ]", Json::Str(key.clone()), items.join(",\n"))
+            }
+            None => format!("  {}: {value}", Json::Str(key.clone())),
         })
         .collect();
-    let opts = SolveOptions { kernel, ..SolveOptions::default() };
-    // Warm once, then report the best of three (solve cost dominates any
-    // cache warm-up, but the minimum is the stablest point estimate).
-    solver.solve_steady(&grids, &opts).expect("converges");
-    (0..3)
-        .map(|_| time_s(|| solver.solve_steady(&grids, &opts).expect("converges")).0)
-        .fold(f64::INFINITY, f64::min)
+    format!("{{\n{}\n}}\n", lines.join(",\n"))
 }
 
-fn main() {
-    let budget: u64 =
-        std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(60_000);
-    let rows: usize = std::env::args().nth(2).and_then(|s| s.parse().ok()).unwrap_or(16);
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some((budget, rows)) = parse_args(&args) else {
+        eprintln!("{USAGE}");
+        return ExitCode::FAILURE;
+    };
     let par_threads = th_exec::threads_from_env().max(1);
 
     let seq = Pool::new(1);
     let par = Pool::new(par_threads);
 
-    let experiments = [
-        presets::fig8(budget),
-        presets::fig9(budget),
-        presets::fig10(budget, rows),
-    ];
-
-    let mut json = String::new();
-    writeln!(json, "{{").unwrap();
-    writeln!(json, "  \"budget_insts\": {budget},").unwrap();
-    writeln!(json, "  \"fig10_rows\": {rows},").unwrap();
-    writeln!(json, "  \"threads\": {par_threads},").unwrap();
-    writeln!(json, "  \"experiments\": [").unwrap();
-    for (i, spec) in experiments.iter().enumerate() {
+    let mut experiments = Vec::new();
+    for spec in [presets::fig8(budget), presets::fig9(budget), presets::fig10(budget, rows)] {
         let name = &spec.name;
         eprintln!("timing the {name} sweep ({} shards) at 1 thread...", spec.shards.len());
-        let (seq_s, outcome) = timed_sweep(spec, &seq);
+        let (seq_s, outcome) = timed_sweep(&spec, &seq);
         let par_s = if par_threads == 1 {
             // One lane: the parallel pool *is* the sequential pool, so
             // re-timing it would only report scheduling noise as a
@@ -147,7 +111,7 @@ fn main() {
             seq_s
         } else {
             eprintln!("timing the {name} sweep at {par_threads} threads...");
-            timed_sweep(spec, &par).0
+            timed_sweep(&spec, &par).0
         };
         let speedup = seq_s / par_s;
         println!(
@@ -155,56 +119,19 @@ fn main() {
              ({speedup:.2}x)"
         );
         if name == "fig10" {
-            // The worst-case row reduction, now computed from sweep
-            // records instead of the experiment's private loop.
+            // The worst-case row reduction, computed from sweep records.
             for (variant, workload, peak_k) in presets::fig10_worst_rows(&outcome) {
                 println!("         worst {variant:<8} {workload:<14} {peak_k:6.1} K");
             }
         }
-        let comma = if i + 1 < experiments.len() { "," } else { "" };
-        writeln!(
-            json,
-            "    {{\"name\": \"{name}\", \"seq_s\": {seq_s:.4}, \"par_s\": {par_s:.4}, \
-             \"threads\": {par_threads}, \"speedup\": {speedup:.4}}}{comma}"
-        )
-        .unwrap();
+        experiments.push(obj([
+            ("name", Json::Str(name.clone())),
+            ("seq_s", num(seq_s)),
+            ("par_s", num(par_s)),
+            ("threads", num(par_threads as f64)),
+            ("speedup", num(speedup)),
+        ]));
     }
-    writeln!(json, "  ],").unwrap();
-
-    // Engine A/B: the core loop alone over fig8's grid, same budget, one
-    // thread, under the per-cycle scan engine and the event-driven
-    // engine. Workloads are built outside the timed region. The two
-    // engines produce identical statistics (enforced by the equivalence
-    // tests); this block records how much wall-clock the event core saves.
-    let workloads = th_workloads::all_workloads();
-    let core_loop_s = |engine: CoreEngine| {
-        eprintln!("timing fig8's core loop under the {engine:?} engine...");
-        time_s(|| {
-            fig8::grid()
-                .map(|(name, variant)| {
-                    let w = workloads.iter().find(|w| w.name == name).expect("registry workload");
-                    let n = budget.min(w.inst_budget);
-                    let cfg = SimConfig { engine, ..variant.sim_config() };
-                    let run = Simulator::new(cfg).run_with_warmup(&w.program, n / 5, n);
-                    run.expect("workload runs").stats.committed
-                })
-                .sum::<u64>()
-        })
-        .0
-    };
-    let scan_s = core_loop_s(CoreEngine::Scan);
-    let event_s = core_loop_s(CoreEngine::Event);
-    println!(
-        "engine: fig8 scan {scan_s:.2} s, event {event_s:.2} s ({:.2}x)",
-        scan_s / event_s
-    );
-    writeln!(
-        json,
-        "  \"engine\": {{\"experiment\": \"fig8\", \"scan_s\": {scan_s:.4}, \
-         \"event_s\": {event_s:.4}, \"speedup\": {:.4}}},",
-        scan_s / event_s
-    )
-    .unwrap();
 
     // Closed-loop co-simulation smoke: the dtm-smoke preset (one shard —
     // 30 intervals, 20k-cycle slices, 12x12 thermal grid) timed end to
@@ -214,8 +141,8 @@ fn main() {
     eprintln!("timing the closed-loop co-simulation smoke...");
     let (cosim_s, cosim) = timed_sweep(&presets::dtm_smoke(), &seq);
     let shard = &cosim.records[0];
-    let intervals = shard.metric("intervals").expect("intervals metric") as usize;
-    let intervals_per_s = intervals as f64 / cosim_s;
+    let intervals = shard.metric("intervals").expect("intervals metric");
+    let intervals_per_s = intervals / cosim_s;
     let sim_wall_s = shard.timing("sim_wall_s").expect("sim wall time");
     let solver_wall_s = shard.timing("solver_wall_s").expect("solver wall time");
     let solver_share = solver_wall_s / cosim_s;
@@ -224,13 +151,14 @@ fn main() {
          solver share {:.0}%",
         100.0 * solver_share
     );
-    writeln!(
-        json,
-        "  \"cosim\": {{\"intervals\": {intervals}, \"total_s\": {cosim_s:.4}, \
-         \"intervals_per_s\": {intervals_per_s:.4}, \"sim_wall_s\": {sim_wall_s:.4}, \
-         \"solver_wall_s\": {solver_wall_s:.4}, \"solver_share\": {solver_share:.4}}},",
-    )
-    .unwrap();
+    let cosim = obj([
+        ("intervals", num(intervals)),
+        ("total_s", num(cosim_s)),
+        ("intervals_per_s", num(intervals_per_s)),
+        ("sim_wall_s", num(sim_wall_s)),
+        ("solver_wall_s", num(solver_wall_s)),
+        ("solver_share", num(solver_share)),
+    ]);
 
     // Herding payoff, measured: the peak-power workload under the full
     // 3D design, priced from its activity ledger, with the per-unit
@@ -243,34 +171,25 @@ fn main() {
     let ledger_w = run.power.dynamic_w();
     let measured = run.die_table();
     println!("herding: dynamic {ledger_w:.2} W from the activity ledger");
-    writeln!(
-        json,
-        "  \"herding\": {{\"workload\": \"{}\", \"ledger_dynamic_w\": {ledger_w:.4}, \
-         \"units\": [",
-        w.name
-    )
-    .unwrap();
-    let herded: Vec<th_stack3d::Unit> = th_stack3d::Unit::all()
+    let units = th_stack3d::Unit::all()
         .iter()
-        .copied()
         .filter(|u| u.is_width_partitioned())
+        .map(|&unit| {
+            let m = measured.fractions(unit)[0];
+            println!("  {:<10} top-die {:.1}% measured", unit.label(), 100.0 * m);
+            obj([("unit", Json::Str(unit.label().to_string())), ("measured_top_die", num(m))])
+        })
         .collect();
-    for (i, &unit) in herded.iter().enumerate() {
-        let m = measured.fractions(unit)[0];
-        println!("  {:<10} top-die {:.1}% measured", unit.label(), 100.0 * m);
-        let comma = if i + 1 < herded.len() { "," } else { "" };
-        writeln!(
-            json,
-            "    {{\"unit\": \"{}\", \"measured_top_die\": {m:.4}}}{comma}",
-            unit.label()
-        )
-        .unwrap();
-    }
-    writeln!(json, "  ]}},").unwrap();
+    let herding = obj([
+        ("workload", Json::Str(w.name.to_string())),
+        ("ledger_dynamic_w", num(ledger_w)),
+        ("units", Json::Arr(units)),
+    ]);
 
-    // The steady solve as the fig10 sweep runs it: the mpeg2-like 3D
-    // run above, on the four-die stack at the sweep's grid. Assembly and
-    // power painting are included, as in the sweep's `solve_s`.
+    // Thermal smoke: the steady solve as the fig10 sweep runs it, on
+    // the mpeg2-like 3D run above, the four-die stack and the sweep's
+    // grid. Assembly and power painting are included, as in the sweep's
+    // `solve_s`.
     eprintln!("timing the fig10-shaped steady solve...");
     let analysis = thermal_herding::thermal_analysis(&run, rows).expect("fig10 solve");
     let layers = analysis.map.layer_count();
@@ -279,34 +198,26 @@ fn main() {
         * (0..3)
             .map(|_| time_s(|| thermal_herding::thermal_analysis(&run, rows).expect("solves")).0)
             .fold(f64::INFINITY, f64::min);
-    println!(
-        "thermal solve fig10 {rows}x{rows}x{layers}: red-black {fig10_ms:.2} ms, {sweeps} sweeps"
-    );
-    writeln!(
-        json,
-        "  \"thermal_solve_fig10\": {{\"variant\": \"3D\", \"workload\": \"{}\", \
-         \"rows\": {rows}, \"layers\": {layers}, \"red_black_ms\": {fig10_ms:.4}, \
-         \"sweeps\": {sweeps}}},",
-        w.name
-    )
-    .unwrap();
+    println!("thermal smoke: fig10 {rows}x{rows}x{layers} solve {fig10_ms:.2} ms, {sweeps} sweeps");
+    let thermal = obj([
+        ("variant", Json::Str("3D".into())),
+        ("workload", Json::Str(w.name.to_string())),
+        ("rows", num(rows as f64)),
+        ("layers", num(layers as f64)),
+        ("red_black_ms", num(fig10_ms)),
+        ("sweeps", num(sweeps as f64)),
+    ]);
 
-    eprintln!("timing thermal solve kernels at 64x64x9...");
-    let scalar_s = thermal_solve_s(Kernel::Lexicographic, 64);
-    let rb_s = thermal_solve_s(Kernel::RedBlack, 64);
-    println!(
-        "thermal solve 64x64x9: scalar {scalar_s:.3} s, red-black {rb_s:.3} s ({:.2}x)",
-        scalar_s / rb_s
-    );
-    writeln!(
-        json,
-        "  \"thermal_solve_64x64x9\": {{\"scalar_s\": {scalar_s:.4}, \
-         \"red_black_s\": {rb_s:.4}, \"speedup\": {:.4}}}",
-        scalar_s / rb_s
-    )
-    .unwrap();
-    writeln!(json, "}}").unwrap();
-
-    std::fs::write("BENCH_pipeline.json", &json).expect("write BENCH_pipeline.json");
+    let report = obj([
+        ("budget_insts", num(budget as f64)),
+        ("fig10_rows", num(rows as f64)),
+        ("threads", num(par_threads as f64)),
+        ("experiments", Json::Arr(experiments)),
+        ("cosim", cosim),
+        ("herding", herding),
+        ("thermal_solve_fig10", thermal),
+    ]);
+    std::fs::write("BENCH_pipeline.json", render(&report)).expect("write BENCH_pipeline.json");
     println!("wrote BENCH_pipeline.json");
+    ExitCode::SUCCESS
 }

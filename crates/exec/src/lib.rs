@@ -11,8 +11,7 @@
 //! Two layers:
 //!
 //! * [`Pool::broadcast`] — run one closure on every lane simultaneously
-//!   and wait. The building block for solver-style inner loops (the
-//!   red-black thermal kernel sweeps its color strips through this).
+//!   and wait. The building block of the fan-out helpers.
 //! * [`Pool::map`] / [`Pool::map_indexed`] — dynamic self-scheduled
 //!   fan-out over a work list with in-order collection.
 //!
@@ -231,29 +230,6 @@ impl Pool {
             .map(|c| c.into_inner().expect("every slot claimed and filled"))
             .collect()
     }
-
-    /// Runs `f(i)` for every `i` in `0..n`, in parallel, discarding
-    /// results. The counterpart of [`Pool::map_indexed`] for in-place
-    /// work (e.g. disjoint mutation through raw pointers).
-    pub fn for_each_index<F>(&self, n: usize, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        if self.threads == 1 || n <= 1 || IN_JOB.with(|flag| flag.get()) {
-            for i in 0..n {
-                f(i);
-            }
-            return;
-        }
-        let next = AtomicUsize::new(0);
-        self.broadcast(|_lane| loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            f(i);
-        });
-    }
 }
 
 impl Drop for Pool {
@@ -366,7 +342,6 @@ pub fn pool() -> &'static Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn map_preserves_order_at_any_thread_count() {
@@ -387,16 +362,6 @@ mod tests {
             mask.fetch_or(1 << lane, Ordering::Relaxed);
         });
         assert_eq!(mask.load(Ordering::Relaxed), 0b1111);
-    }
-
-    #[test]
-    fn for_each_index_covers_all_work() {
-        let pool = Pool::new(3);
-        let sum = AtomicU64::new(0);
-        pool.for_each_index(1000, |i| {
-            sum.fetch_add(i as u64, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 999 * 1000 / 2);
     }
 
     #[test]

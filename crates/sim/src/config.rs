@@ -2,22 +2,6 @@
 
 use th_width::WidthPolicy;
 
-/// Which core-loop implementation executes the pipeline.
-///
-/// Both engines model the identical machine and must produce bit-identical
-/// [`crate::SimStats`]; `Scan` is the original per-cycle linear-scan loop,
-/// kept as the reference oracle for the event-driven rewrite.
-/// [`SimConfig::engine`] is the only selector; every [`SimConfig`]
-/// constructor starts with `Event`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CoreEngine {
-    /// Walk the full ROB/IFQ every cycle (the seed implementation).
-    Scan,
-    /// Completion-event heap, dependency wakeup lists, an explicit ready
-    /// queue, and idle-cycle skipping.
-    Event,
-}
-
 /// Structural core parameters (Table 1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CoreParams {
@@ -264,9 +248,6 @@ pub struct SimConfig {
     pub mem: MemConfig,
     /// Thermal Herding mechanisms.
     pub herding: HerdingConfig,
-    /// Core-loop implementation (statistically invisible; see
-    /// [`CoreEngine`]).
-    pub engine: CoreEngine,
 }
 
 impl SimConfig {
@@ -279,7 +260,6 @@ impl SimConfig {
             pipeline: PipelineConfig::baseline(),
             mem: MemConfig::default(),
             herding: HerdingConfig::off(),
-            engine: CoreEngine::Event,
         }
     }
 

@@ -5,19 +5,18 @@
 //! dependant that issues in cycle *c* (modelling the bypass network), and
 //! a slot freed at commit is reusable the same cycle.
 //!
-//! Two interchangeable engines drive the loop (see
-//! [`crate::CoreEngine`]). `Scan` walks the whole ROB every cycle.
-//! `Event` replaces the walks with a completion-event heap, per-producer
+//! The loop is event driven: a completion-event heap, per-producer
 //! wakeup lists, an explicit ready queue ordered by age, and idle-cycle
 //! skipping: when no stage can make progress before cycle *T* it jumps
 //! `cycle` straight to *T*, batch-charging the per-cycle stall statistics
-//! for the skipped window. Both engines must produce bit-identical
-//! [`SimStats`]; `engine_equivalence` tests and a golden fixture lock the
-//! invariant in.
+//! for the skipped window. Test builds keep the original scan loop, which
+//! walks the whole ROB every cycle, as the reference oracle: the
+//! `engine_equivalence` and `engine_golden` test modules require
+//! bit-identical [`SimStats`] from both.
 
 use crate::branch::{BranchPredictor, Btb, ReturnStack};
 use crate::cache::{CacheKind, MemoryHierarchy};
-use crate::config::{CoreEngine, SimConfig};
+use crate::config::SimConfig;
 use crate::lsq::{LoadSearch, Lsq};
 use crate::scheduler::{AllocPolicy, Scheduler};
 use crate::stats::SimStats;
@@ -71,6 +70,8 @@ struct Slot {
     di: DynInst,
     state: SlotState,
     rs_die: Option<usize>,
+    /// Producers of the two sources, read by the scan reference's issue.
+    #[cfg(test)]
     src_seq: [Option<u64>; 2],
     complete_at: u64,
     /// Branch whose direction/target was mispredicted at fetch.
@@ -82,10 +83,10 @@ struct Slot {
     unsafe_out: bool,
     /// Set once writeback statistics have been recorded.
     wrote_back: bool,
-    /// Event engine: number of unresolved source operands.
+    /// Number of unresolved source operands.
     deps: u8,
-    /// Event engine: the completion event has fired, so the result is
-    /// visible to consumers (equivalent to `Done && complete_at <= cycle`).
+    /// The completion event has fired, so the result is visible to
+    /// consumers (equivalent to `Done && complete_at <= cycle`).
     visible: bool,
 }
 
@@ -98,8 +99,8 @@ struct FetchedInst {
     rf_charged: bool,
 }
 
-/// Event engine: per-producer wakeup lists keyed by sequence number on a
-/// power-of-two ring. The ring spans one full ROB plus a commit group, so
+/// Per-producer wakeup lists keyed by sequence number on a power-of-two
+/// ring. The ring spans one full ROB plus a commit group, so
 /// the sequence numbers live at any instant (in-flight producers, plus
 /// producers committed earlier in the cycle whose completion event fires
 /// this cycle) can never collide.
@@ -162,12 +163,42 @@ impl WaiterTable {
 #[derive(Clone, Debug)]
 pub struct Simulator {
     cfg: SimConfig,
+    #[cfg(test)]
+    engine: CoreEngine,
+}
+
+/// Which core loop a test-build [`Simulator`] runs: the production event
+/// loop, or the per-cycle scan loop it must match bit for bit.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum CoreEngine {
+    /// Walk the full ROB every cycle (the seed implementation).
+    Scan,
+    /// The production loop.
+    Event,
 }
 
 impl Simulator {
     /// Creates a simulator for the given configuration.
     pub fn new(cfg: SimConfig) -> Simulator {
-        Simulator { cfg }
+        Simulator {
+            cfg,
+            #[cfg(test)]
+            engine: CoreEngine::Event,
+        }
+    }
+
+    /// Selects the core loop the simulator runs.
+    #[cfg(test)]
+    pub(crate) fn with_engine(self, engine: CoreEngine) -> Simulator {
+        Simulator { engine, ..self }
+    }
+
+    fn core(&self, program: &Program) -> Core {
+        let core = Core::new(&self.cfg, program);
+        #[cfg(test)]
+        let core = Core { engine: self.engine, ..core };
+        core
     }
 
     /// The configuration.
@@ -187,7 +218,7 @@ impl Simulator {
     /// Panics if the pipeline deadlocks (an internal invariant violation,
     /// guarded by a commit watchdog).
     pub fn run(&self, program: &Program, max_insts: u64) -> Result<SimResult, Trap> {
-        Core::new(&self.cfg, program).run(0, max_insts)
+        self.core(program).run(0, max_insts)
     }
 
     /// Like [`Simulator::run`], but discards the first `warmup_insts`
@@ -205,7 +236,7 @@ impl Simulator {
         warmup_insts: u64,
         max_insts: u64,
     ) -> Result<SimResult, Trap> {
-        Core::new(&self.cfg, program).run(warmup_insts, max_insts)
+        self.core(program).run(warmup_insts, max_insts)
     }
 }
 
@@ -354,17 +385,19 @@ struct Core {
     /// constant, so matured entries always form a queue prefix and the
     /// count replaces the per-cycle `iter().filter().count()`.
     ifq_matured: usize,
-    /// Event engine: pending completion events as `(cycle, seq)` min-heap.
+    /// Pending completion events as `(cycle, seq)` min-heap.
     ev_heap: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Event engine: waiting slots whose operands are all resolved,
-    /// ordered oldest-first (matching the scan engine's issue priority).
+    /// Waiting slots whose operands are all resolved, ordered
+    /// oldest-first (the scan reference's issue priority).
     ev_ready: BTreeSet<u64>,
-    /// Event engine: who to wake when a producer's result becomes visible.
+    /// Who to wake when a producer's result becomes visible.
     ev_waiters: WaiterTable,
     /// Reused snapshot buffer for the issue stage.
     ready_scratch: Vec<u64>,
     /// Deadlock-watchdog anchor: the last cycle anything committed.
     last_commit_cycle: u64,
+    #[cfg(test)]
+    engine: CoreEngine,
 }
 
 impl Core {
@@ -404,7 +437,20 @@ impl Core {
             ev_waiters: WaiterTable::new(cfg.core.rob_size, cfg.core.commit_width),
             ready_scratch: Vec::new(),
             last_commit_cycle: 0,
+            #[cfg(test)]
+            engine: CoreEngine::Event,
         }
+    }
+
+    /// Whether the scan reference drives the loop (test builds only).
+    #[cfg(test)]
+    fn scan_reference(&self) -> bool {
+        self.engine == CoreEngine::Scan
+    }
+
+    #[cfg(not(test))]
+    fn scan_reference(&self) -> bool {
+        false
     }
 
     fn run(mut self, warmup_insts: u64, max_insts: u64) -> Result<SimResult, Trap> {
@@ -428,10 +474,10 @@ impl Core {
     /// reaches `until_cycle` (both `false`). Stopping at `until_cycle`
     /// leaves that cycle's stages unexecuted, so resuming with a later
     /// bound replays the exact (cycle, stage) sequence of an uninterrupted
-    /// run — interval chopping cannot change the simulation. The event
-    /// engine's idle skip may overshoot `until_cycle`; the overshoot lands
-    /// in the next interval's cycle count, which is the correct accounting
-    /// (those cycles are genuinely idle).
+    /// run — interval chopping cannot change the simulation. The idle
+    /// skip may overshoot `until_cycle`; the overshoot lands in the next
+    /// interval's cycle count, which is the correct accounting (those
+    /// cycles are genuinely idle).
     fn run_until(
         &mut self,
         warmup_insts: u64,
@@ -439,17 +485,10 @@ impl Core {
         until_cycle: u64,
         warmup_snapshot: &mut Option<SimStats>,
     ) -> Result<bool, Trap> {
-        let event = self.cfg.engine == CoreEngine::Event;
         while self.stats.committed < max_insts && self.cycle < until_cycle {
             let committed_before = self.stats.committed;
             self.commit();
-            if event {
-                self.process_events();
-                self.issue_event();
-            } else {
-                self.scan_completions();
-                self.issue();
-            }
+            self.complete_and_issue();
             self.dispatch();
             self.fetch()?;
             if self.stats.committed > committed_before {
@@ -474,7 +513,7 @@ impl Core {
                 self.rob.len(),
                 self.ifq.len()
             );
-            if event && self.stats.committed < max_insts {
+            if !self.scan_reference() && self.stats.committed < max_insts {
                 self.cycle = self.next_cycle(self.last_commit_cycle);
             } else {
                 self.cycle += 1;
@@ -937,6 +976,7 @@ impl Core {
                 di,
                 state,
                 rs_die,
+                #[cfg(test)]
                 src_seq,
                 complete_at,
                 mispredicted: f.mispredicted,
@@ -950,7 +990,7 @@ impl Core {
                 visible: false,
             });
 
-            if self.cfg.engine == CoreEngine::Event {
+            if !self.scan_reference() {
                 // Wakeup bookkeeping: count unresolved producers and park
                 // on their wakeup lists; resolved slots go straight to the
                 // ready queue. No-FU slots complete unconditionally one
@@ -1034,6 +1074,7 @@ impl Core {
 
     // ---------------------------------------------------------------- issue
 
+    #[cfg(test)]
     fn src_ready(&self, seq: Option<u64>) -> bool {
         match seq {
             None => true,
@@ -1050,6 +1091,21 @@ impl Core {
         }
     }
 
+    /// The completion and issue stages. Test builds can run the scan
+    /// reference instead: completion and issue by walking the whole ROB.
+    fn complete_and_issue(&mut self) {
+        #[cfg(test)]
+        if self.scan_reference() {
+            self.scan_completions();
+            self.issue();
+            return;
+        }
+        self.process_events();
+        self.issue_event();
+    }
+
+    /// Scan-reference issue: walk the whole ROB, oldest first.
+    #[cfg(test)]
     fn issue(&mut self) {
         self.charge_rs_occupancy();
 
@@ -1072,8 +1128,8 @@ impl Core {
         }
     }
 
-    /// Event-engine issue: walk only the ready queue, oldest first (the
-    /// same priority order as the scan over the ROB).
+    /// Issue: walk only the ready queue, oldest first (the same priority
+    /// order as the scan reference's walk over the ROB).
     fn issue_event(&mut self) {
         self.charge_rs_occupancy();
 
@@ -1406,6 +1462,9 @@ impl Core {
 
     // ---------------------------------------------------------- completion
 
+    /// Scan-reference completion stage: complete every slot due this
+    /// cycle, oldest first.
+    #[cfg(test)]
     fn scan_completions(&mut self) {
         for idx in 0..self.rob.len() {
             let slot = &self.rob[idx];
@@ -1416,8 +1475,8 @@ impl Core {
         }
     }
 
-    /// Event-engine completion stage: pop every event due this cycle, do
-    /// the writeback for slots still in flight, and wake dependants.
+    /// Completion stage: pop every event due this cycle, do the
+    /// writeback for slots still in flight, and wake dependants.
     fn process_events(&mut self) {
         while let Some(&Reverse((at, seq))) = self.ev_heap.peek() {
             if at > self.cycle {
@@ -1460,7 +1519,7 @@ impl Core {
     /// Writeback for the issued slot at `idx` whose result is due this
     /// cycle: record the register-file/ROB/bypass/tag-broadcast activity
     /// and release a pending fetch redirect if this was the blocking
-    /// branch. Shared verbatim between the two engines.
+    /// branch. Shared verbatim with the scan reference.
     fn complete_slot(&mut self, idx: usize) {
         let slot = &self.rob[idx];
         let di = slot.di;
@@ -1537,13 +1596,13 @@ impl Core {
 
     // ------------------------------------------------------- idle skipping
 
-    /// Event engine: the cycle to execute after the current one. Normally
-    /// `cycle + 1`; when provably nothing can commit, complete, issue,
+    /// The cycle to execute after the current one. Normally `cycle + 1`;
+    /// when provably nothing can commit, complete, issue,
     /// dispatch, or fetch before some later cycle `T`, jumps straight to
     /// `T` after batch-charging the per-cycle stall statistics for the
     /// skipped window. Never jumps past the deadlock watchdog horizon, so
     /// a genuine deadlock still panics on the same cycle as the scan
-    /// engine.
+    /// reference.
     fn next_cycle(&mut self, last_commit_cycle: u64) -> u64 {
         let next = self.cycle + 1;
         let Some(target) = self.idle_until() else { return next };
@@ -1663,7 +1722,7 @@ impl Core {
         Some(t)
     }
 
-    /// Batch-charges the per-cycle statistics the scan engine would have
+    /// Batch-charges the per-cycle statistics the scan reference would have
     /// accrued over the idle window `[from, to)`: RS residency, the
     /// blocking dispatch structural hazard, and the fetch stall breakdown.
     /// Every charged condition is constant (or monotone in the charged

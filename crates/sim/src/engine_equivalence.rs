@@ -4,15 +4,15 @@
 //! oracle; these tests drive both over fixed kernels and proptest-random
 //! programs/configurations.
 
+use crate::core::CoreEngine;
+use crate::{SimConfig, SimStats, Simulator};
 use proptest::prelude::*;
 use th_isa::parse_asm;
-use th_sim::{CoreEngine, SimConfig, SimStats, Simulator};
 
 /// Runs `src` under one engine, optionally with a warmup window.
-fn run_stats(src: &str, mut cfg: SimConfig, engine: CoreEngine, warmup: u64, budget: u64) -> SimStats {
-    cfg.engine = engine;
+fn run_stats(src: &str, cfg: SimConfig, engine: CoreEngine, warmup: u64, budget: u64) -> SimStats {
     let program = parse_asm(src).expect("assembles");
-    let sim = Simulator::new(cfg);
+    let sim = Simulator::new(cfg).with_engine(engine);
     let result = if warmup > 0 {
         sim.run_with_warmup(&program, warmup, budget)
     } else {

@@ -1,18 +1,19 @@
 //! Workload-level engine equivalence plus a golden-stats fixture.
 //!
-//! The equivalence suite in `crates/sim/tests/engine_equivalence.rs`
-//! covers synthetic kernels and random programs; this test drives the
-//! *real* experiment workloads through both engines on the paper's two
-//! headline configurations, and pins one fig8 workload's counters to
-//! hard-coded values so an accidental behavior change in **either**
-//! engine (not just a divergence between them) fails loudly.
+//! The `engine_equivalence` module covers synthetic kernels and random
+//! programs; this one drives the *real* experiment workloads through
+//! both engines on the paper's two headline configurations, and pins one
+//! fig8 workload's counters to hard-coded values so an accidental
+//! behavior change in **either** engine (not just a divergence between
+//! them) fails loudly.
 
-use th_sim::{CoreEngine, SimConfig, SimStats, Simulator};
+use crate::core::CoreEngine;
+use crate::{SimConfig, SimStats, Simulator};
 use th_workloads::{all_workloads, workload_by_name};
 
-fn run(mut cfg: SimConfig, engine: CoreEngine, w: &th_workloads::Workload, budget: u64) -> SimStats {
-    cfg.engine = engine;
+fn run(cfg: SimConfig, engine: CoreEngine, w: &th_workloads::Workload, budget: u64) -> SimStats {
     Simulator::new(cfg)
+        .with_engine(engine)
         .run_with_warmup(&w.program, budget / 5, budget)
         .expect("runs")
         .stats

@@ -6,15 +6,15 @@
 //! four dies (`Σ_die row.full == 4 × full accesses`). These proptests pin
 //! that contract on random programs for both engines.
 
+use crate::core::CoreEngine;
+use crate::{SimConfig, SimStats, Simulator};
 use proptest::prelude::*;
 use th_isa::parse_asm;
-use th_sim::{CoreEngine, SimConfig, SimStats, Simulator};
 use th_stack3d::{Unit, DIES};
 
-fn run_stats(src: &str, mut cfg: SimConfig, engine: CoreEngine, budget: u64) -> SimStats {
-    cfg.engine = engine;
+fn run_stats(src: &str, cfg: SimConfig, engine: CoreEngine, budget: u64) -> SimStats {
     let program = parse_asm(src).expect("assembles");
-    Simulator::new(cfg).run(&program, budget).expect("runs").stats
+    Simulator::new(cfg).with_engine(engine).run(&program, budget).expect("runs").stats
 }
 
 /// Sum of a ledger row's gated accesses.

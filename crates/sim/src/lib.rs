@@ -53,11 +53,16 @@ mod lsq;
 mod scheduler;
 mod stats;
 
+#[cfg(test)]
+mod engine_equivalence;
+#[cfg(test)]
+mod engine_golden;
+#[cfg(test)]
+mod ledger_consistency;
+
 pub use crate::core::{SimResult, SimSession, Simulator};
 pub use branch::{BranchPredictor, BranchUpdate, Btb, BtbOutcome, ReturnStack};
 pub use cache::{Cache, CacheConfig, CacheKind, MemoryHierarchy, Tlb};
-pub use config::{
-    CoreEngine, CoreParams, FuLatencies, HerdingConfig, MemConfig, PipelineConfig, SimConfig,
-};
+pub use config::{CoreParams, FuLatencies, HerdingConfig, MemConfig, PipelineConfig, SimConfig};
 pub use scheduler::{AllocPolicy, Scheduler};
 pub use stats::SimStats;

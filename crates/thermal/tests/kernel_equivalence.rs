@@ -9,12 +9,12 @@
 //! natural-layout red-black solver it replaced exactly: every
 //! temperature's bits and every solve's sweep count, steady and
 //! transient, on random shapes (including one row, one or two columns,
-//! odd widths and single-layer stacks). That solver lives on below as a
-//! test-only reference.
+//! odd widths and single-layer stacks). That solver and the
+//! lexicographic sweep live on below as test-only references.
 
 use proptest::prelude::*;
 use th_thermal::{
-    HeatSink, Kernel, Material, ModelLayer, PowerGrid, SolveOptions, StackModel, SteadySolver,
+    HeatSink, Material, ModelLayer, PowerGrid, SolveOptions, StackModel, SteadySolver,
     TransientSolver,
 };
 
@@ -32,6 +32,49 @@ fn random_model(passive_layers: usize, r_sink: f64) -> StackModel {
     )
 }
 
+/// Solves `power` on `model` with the production red-black kernel and
+/// the lexicographic reference and requires the two fields to agree.
+fn assert_kernels_agree(
+    model: StackModel,
+    rows: usize,
+    cols: usize,
+    p: PowerGrid,
+) -> Result<(), TestCaseError> {
+    let layers = model.layers().len();
+    let opts = SolveOptions::default();
+    let map_rb =
+        SteadySolver::new(model.clone(), rows, cols).solve_steady(std::slice::from_ref(&p), &opts);
+    let reference = reference::Reference::new(model, rows, cols).lexicographic();
+    let (lex, _) = reference.solve_steady(&[p], &opts);
+    for (i, (a, b)) in map_rb.unwrap().temps().iter().zip(&lex).enumerate() {
+        prop_assert!(
+            (a - b).abs() < 1e-3,
+            "kernels disagree at cell {i}: red-black {a} vs lexicographic {b} \
+             ({rows}x{cols}, {layers} layers)"
+        );
+    }
+    Ok(())
+}
+
+/// The proptest below on one fixed input: a thicker slab than
+/// `random_model`'s, heated off-centre.
+#[test]
+fn red_black_matches_lexicographic_reference() {
+    let (rows, cols) = (12, 10);
+    let model = StackModel::new(
+        0.01,
+        0.01,
+        vec![
+            ModelLayer::passive(500e-6, Material::SILICON),
+            ModelLayer::active(2e-6, Material::SILICON, 0),
+        ],
+        HeatSink { resistance_k_per_w: 0.25, ambient_k: 300.0 },
+    );
+    let mut p = PowerGrid::new(rows, cols, 0.01, 0.01);
+    p.paint_rect(0.001, 0.002, 0.007, 0.009, 42.0);
+    assert_kernels_agree(model, rows, cols, p).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -46,26 +89,13 @@ proptest! {
             1..4
         )
     ) {
-        let solver = SteadySolver::new(random_model(passive_layers, r_sink), rows, cols);
         let mut p = PowerGrid::new(rows, cols, 0.01, 0.01);
         for &(x0, y0, wx, wy, watts) in &rects {
             let x1 = (x0 + wx).min(1.0);
             let y1 = (y0 + wy).min(1.0);
             p.paint_rect(x0 * 0.01, y0 * 0.01, x1 * 0.01, y1 * 0.01, watts);
         }
-
-        let rb_opts = SolveOptions { kernel: Kernel::RedBlack, ..SolveOptions::default() };
-        let lex_opts = SolveOptions { kernel: Kernel::Lexicographic, ..SolveOptions::default() };
-        let map_rb = solver.solve_steady(std::slice::from_ref(&p), &rb_opts).unwrap();
-        let map_lex = solver.solve_steady(&[p], &lex_opts).unwrap();
-
-        for (i, (a, b)) in map_rb.temps().iter().zip(map_lex.temps()).enumerate() {
-            prop_assert!(
-                (a - b).abs() < 1e-3,
-                "kernels disagree at cell {i}: red-black {a} vs lexicographic {b} \
-                 ({rows}x{cols}, {passive_layers}+1 layers)"
-            );
-        }
+        assert_kernels_agree(random_model(passive_layers, r_sink), rows, cols, p)?;
     }
 }
 
@@ -76,6 +106,11 @@ proptest! {
 /// grouped stencil `b + gx(W+E) + gy(N+S) + gzm·D + gzp·U`; the others
 /// sum their present faces one at a time. The production kernel must
 /// match it bit for bit, sweep for sweep.
+///
+/// [`reference::Reference::lexicographic`] turns it into the original
+/// sequential Gauss-Seidel/SOR sweep (layer-major, then row, then
+/// column), the convergence oracle: a different sweep order, so a
+/// different path to the same fixed point.
 mod reference {
     use th_thermal::{PowerGrid, SolveOptions, StackModel};
 
@@ -89,6 +124,8 @@ mod reference {
         g_amb: f64,
         cap: Vec<f64>,
         diag0: Vec<f64>,
+        /// Sweep cell by cell in natural order instead of by color.
+        lexicographic: bool,
     }
 
     impl Reference {
@@ -143,7 +180,12 @@ mod reference {
                     }
                 }
             }
-            Reference { model, rows, cols, gx, gy, gz, g_amb, cap, diag0 }
+            Reference { model, rows, cols, gx, gy, gz, g_amb, cap, diag0, lexicographic: false }
+        }
+
+        /// The same solver with the lexicographic sweep order.
+        pub fn lexicographic(self) -> Reference {
+            Reference { lexicographic: true, ..self }
         }
 
         pub fn power(&self, power: &[PowerGrid]) -> Vec<f64> {
@@ -246,6 +288,15 @@ mod reference {
             track: bool,
         ) -> f64 {
             let mut max_delta = 0.0f64;
+            if self.lexicographic {
+                for i in 0..t.len() {
+                    let (lr, col) = (i / self.cols, i % self.cols);
+                    let (layer, row) = (lr / self.rows, lr % self.rows);
+                    let delta = self.relax_cell(t, b, inv_diag, omega, layer, row, col, track);
+                    max_delta = max_delta.max(delta);
+                }
+                return max_delta;
+            }
             for color in 0..2 {
                 for lr in 0..self.model.layers().len() * self.rows {
                     max_delta =
