@@ -13,7 +13,9 @@
 //! closed-loop co-simulation smoke (`cosim.total_s`) each fail when the
 //! fresh time exceeds [`MAX_SLOWDOWN`] times the committed one. Shared
 //! CI hosts are noisy, so only a large slowdown fails; faster always
-//! passes. `verdict` reads sweepbench's output on stdin and passes only
+//! passes. Both reports must also carry the core loop's throughput
+//! block (`core`), every rate a number; it is reported, not guarded.
+//! `verdict` reads sweepbench's output on stdin and passes only
 //! if its last line says `"correct": true`. A missing file, field or
 //! number is an error, never a pass.
 
@@ -73,6 +75,28 @@ fn cosim_total_s(report: &Json) -> Result<f64, String> {
     number(field(report, "cosim")?, "total_s")
 }
 
+/// The runs the `core` block measures, and each one's rates.
+const CORE_RUNS: [&str; 2] = ["chip", "cosim"];
+const CORE_RATES: [&str; 3] = ["minst_per_s", "mcycles_per_s", "idle_skip_ratio"];
+
+/// The `core` block's report line, if every rate is present and a
+/// finite, non-negative number.
+fn core_block(report: &Json) -> Result<String, String> {
+    let core = field(report, "core")?;
+    let mut parts = Vec::new();
+    for run in CORE_RUNS {
+        let block = field(core, run).map_err(|e| format!("core: {e}"))?;
+        for key in CORE_RATES {
+            let v = number(block, key).map_err(|e| format!("core.{run}: {e}"))?;
+            if !(v.is_finite() && v >= 0.0) {
+                return Err(format!("core.{run}: field {key:?} is {v}"));
+            }
+        }
+        parts.push(format!("{run} {:.2} Minst/s", number(block, "minst_per_s")?));
+    }
+    Ok(format!("core loop: {}", parts.join(", ")))
+}
+
 /// One guard: `Ok` with its report line if `fresh` is at most
 /// [`MAX_SLOWDOWN`] times `committed`.
 fn guard(label: &str, committed: f64, fresh: f64) -> Result<String, String> {
@@ -90,18 +114,23 @@ fn guard(label: &str, committed: f64, fresh: f64) -> Result<String, String> {
     }
 }
 
-/// Both guards of `fresh` against `committed`, every one reported.
+/// Both guards of `fresh` against `committed`, every one reported,
+/// then the fresh `core` block; both reports' `core` blocks must be
+/// well formed.
 fn guards(committed: &Json, fresh: &Json) -> Result<Vec<String>, String> {
     type Read = fn(&Json) -> Result<f64, String>;
     let checks: [(&str, Read); 2] = [("fig8 seq", fig8_seq_s), ("cosim smoke", cosim_total_s)];
-    checks
+    let mut lines = checks
         .iter()
         .map(|&(label, read)| {
             let committed = read(committed).map_err(|e| format!("committed report: {e}"))?;
             let fresh = read(fresh).map_err(|e| format!("fresh report: {e}"))?;
             guard(label, committed, fresh)
         })
-        .collect()
+        .collect::<Result<Vec<_>, _>>()?;
+    core_block(committed).map_err(|e| format!("committed report: {e}"))?;
+    lines.push(core_block(fresh).map_err(|e| format!("fresh report: {e}"))?);
+    Ok(lines)
 }
 
 /// The names of `BENCHMARK.json`'s workloads, in order.
@@ -167,14 +196,22 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn report(fig8_seq_s: &str, cosim_total_s: &str) -> Json {
+    const CORE: &str = r#"{"chip": {"minst_per_s": 0.9, "mcycles_per_s": 1.1, "idle_skip_ratio": 0.2},
+                           "cosim": {"minst_per_s": 0.5, "mcycles_per_s": 1.4, "idle_skip_ratio": 0.6}}"#;
+
+    fn report_with_core(fig8_seq_s: &str, cosim_total_s: &str, core: &str) -> Json {
         Json::parse(&format!(
             r#"{{"budget_insts": 60000.0, "fig10_rows": 16.0,
                 "experiments": [{{"name": "fig9", "seq_s": 9.0}},
                                 {{"name": "fig8", "seq_s": {fig8_seq_s}}}],
-                "cosim": {{"intervals": 30.0, "total_s": {cosim_total_s}}}}}"#
+                "cosim": {{"intervals": 30.0, "total_s": {cosim_total_s}}},
+                "core": {core}}}"#
         ))
         .unwrap()
+    }
+
+    fn report(fig8_seq_s: &str, cosim_total_s: &str) -> Json {
+        report_with_core(fig8_seq_s, cosim_total_s, CORE)
     }
 
     #[test]
@@ -188,8 +225,9 @@ mod tests {
     fn a_slowdown_at_or_below_the_bound_passes_and_so_does_a_speedup() {
         let committed = report("2.0", "1.0");
         let lines = guards(&committed, &report("3.0", "1.5")).expect("exactly 1.5x passes");
-        assert_eq!(lines.len(), 2);
+        assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("(1.50x)"), "{}", lines[0]);
+        assert!(lines[2].contains("chip 0.90 Minst/s"), "{}", lines[2]);
         assert!(guards(&committed, &report("2.9", "1.2")).is_ok());
         assert!(guards(&committed, &report("0.5", "0.1")).is_ok(), "a faster run failed");
     }
@@ -209,6 +247,40 @@ mod tests {
         assert!(rerun_args(&Json::parse(r#"{"budget_insts": 60000.0}"#).unwrap()).is_err());
         assert!(rerun_args(&Json::parse(r#"{"budget_insts": 1.5, "fig10_rows": 16}"#).unwrap())
             .is_err());
+    }
+
+    #[test]
+    fn a_missing_core_block_is_an_error() {
+        let good = report("2.0", "1.0");
+        let no_core = Json::parse(
+            r#"{"experiments": [{"name": "fig8", "seq_s": 2.0}], "cosim": {"total_s": 1.0}}"#,
+        )
+        .unwrap();
+        assert!(guards(&good, &no_core).is_err(), "fresh report without core passed");
+        assert!(guards(&no_core, &good).is_err(), "committed report without core passed");
+        let no_cosim_run = report_with_core("2.0", "1.0", &CORE.replace("\"cosim\"", "\"other\""));
+        assert!(guards(&good, &no_cosim_run).is_err(), "core without its cosim run passed");
+    }
+
+    #[test]
+    fn a_missing_core_field_is_an_error() {
+        let good = report("2.0", "1.0");
+        for key in CORE_RATES {
+            let renamed = CORE.replacen(&format!("\"{key}\""), "\"renamed\"", 1);
+            assert!(guards(&good, &report_with_core("2.0", "1.0", &renamed)).is_err(), "{key}");
+        }
+    }
+
+    #[test]
+    fn a_non_numeric_core_field_is_an_error() {
+        let good = report("2.0", "1.0");
+        for bad in ["\"fast\"", "null", "true", "[1.0]", "-1.0"] {
+            let core = CORE.replacen("0.9", bad, 1);
+            assert!(
+                guards(&good, &report_with_core("2.0", "1.0", &core)).is_err(),
+                "minst_per_s = {bad} passed"
+            );
+        }
     }
 
     #[test]

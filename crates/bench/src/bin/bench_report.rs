@@ -1,8 +1,8 @@
 //! End-to-end pipeline benchmark: times the Figure 8/9/10 experiment
 //! sweeps at one thread and at the configured thread count, the
-//! closed-loop co-simulation smoke and, as the thermal smoke, the steady
-//! solve the Figure 10 sweep runs, and writes the measurements to
-//! `BENCH_pipeline.json`.
+//! closed-loop co-simulation smoke, the core loop's throughput and, as
+//! the thermal smoke, the steady solve the Figure 10 sweep runs, and
+//! writes the measurements to `BENCH_pipeline.json`.
 //!
 //! ```text
 //! cargo run --release -p th-bench --bin bench_report [budget] [fig10-rows]
@@ -23,7 +23,7 @@ use th_exec::Pool;
 use th_sweep::json::Json;
 use th_sweep::{presets, run_sweep, SweepOptions, SweepOutcome, SweepSpec};
 use th_workloads::workload_by_name;
-use thermal_herding::Variant;
+use thermal_herding::{run_chip_with_work, CoreWork, Variant};
 
 const USAGE: &str = "usage: bench_report [budget-insts] [fig10-rows] (positive integers; \
                      defaults 60000 and 16)";
@@ -68,6 +68,18 @@ fn num(v: f64) -> Json {
 
 fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
     Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// The core loop's throughput over `secs` of simulation: committed
+/// instructions and simulated cycles per second, and the share of those
+/// cycles idle skipping jumped over.
+fn core_rates(work: &CoreWork, secs: f64) -> Json {
+    let cycles = work.cycles_stepped + work.cycles_skipped;
+    obj([
+        ("minst_per_s", num(work.committed as f64 / secs / 1e6)),
+        ("mcycles_per_s", num(cycles as f64 / secs / 1e6)),
+        ("idle_skip_ratio", num(work.idle_skip_ratio())),
+    ])
 }
 
 /// The report with one top-level field per line, and one array element
@@ -144,6 +156,14 @@ fn main() -> ExitCode {
     let intervals = shard.metric("intervals").expect("intervals metric");
     let intervals_per_s = intervals / cosim_s;
     let sim_wall_s = shard.timing("sim_wall_s").expect("sim wall time");
+    let counter =
+        |key: &str| shard.timing(key).unwrap_or_else(|| panic!("no {key} telemetry")) as u64;
+    let cosim_work = CoreWork {
+        committed: counter("core_committed"),
+        cycles_stepped: counter("core_cycles_stepped"),
+        cycles_skipped: counter("core_cycles_skipped"),
+        events: counter("core_events"),
+    };
     let solver_wall_s = shard.timing("solver_wall_s").expect("solver wall time");
     let solver_share = solver_wall_s / cosim_s;
     println!(
@@ -160,14 +180,35 @@ fn main() -> ExitCode {
         ("solver_share", num(solver_share)),
     ]);
 
-    // Herding payoff, measured: the peak-power workload under the full
-    // 3D design, priced from its activity ledger, with the per-unit
-    // top-die power fractions of every width-partitioned unit. Stays off
-    // the orchestrator: it needs the run's full SimStats, not a shard
-    // summary.
+    // Core loop throughput on a fig10-shaped chip run: the full 3D
+    // design on the peak-power workload, with the fig10 sweep's budget
+    // and warmup; the best of three runs.
     let w = workload_by_name("mpeg2-like").expect("known workload");
+    eprintln!("timing the core loop on a fig10-shaped chip run ({})...", w.name);
+    let mut best_s = f64::INFINITY;
+    let mut chip = None;
+    for _ in 0..3 {
+        let (secs, out) =
+            time_s(|| run_chip_with_work(Variant::ThreeD, &w, budget).expect("chip run"));
+        best_s = best_s.min(secs);
+        chip = Some(out);
+    }
+    let (run, work) = chip.expect("three runs");
+    println!(
+        "core: {:.2} Minst/s on the chip run ({:.0}% of cycles skipped idle)",
+        work.committed as f64 / best_s / 1e6,
+        100.0 * work.idle_skip_ratio()
+    );
+    let core = obj([
+        ("chip", core_rates(&work, best_s)),
+        ("cosim", core_rates(&cosim_work, sim_wall_s)),
+    ]);
+
+    // Herding payoff, measured on the same run, priced from its activity
+    // ledger, with the per-unit top-die power fractions of every
+    // width-partitioned unit. Stays off the orchestrator: it needs the
+    // run's full SimStats, not a shard summary.
     eprintln!("measuring herding top-die fractions ({})...", w.name);
-    let run = thermal_herding::run_chip(Variant::ThreeD, &w, budget).expect("herding run");
     let ledger_w = run.power.dynamic_w();
     let measured = run.die_table();
     println!("herding: dynamic {ledger_w:.2} W from the activity ledger");
@@ -214,6 +255,7 @@ fn main() -> ExitCode {
         ("threads", num(par_threads as f64)),
         ("experiments", Json::Arr(experiments)),
         ("cosim", cosim),
+        ("core", core),
         ("herding", herding),
         ("thermal_solve_fig10", thermal),
     ]);

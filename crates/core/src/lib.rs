@@ -38,7 +38,8 @@ mod run;
 mod thermal;
 
 pub use config::{three_d_clock_ghz, Variant};
-pub use run::{run_chip, ChipResult};
+pub use run::{run_chip, run_chip_with_work, ChipResult};
+pub use th_sim::CoreWork;
 pub use thermal::{
     thermal_analysis, thermal_analysis_scaled, transient_heatup, ThermalAnalysis, GRID_COLS,
     GRID_ROWS, SINK_RESISTANCE_K_PER_W,

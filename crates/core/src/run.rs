@@ -2,7 +2,7 @@
 
 use crate::config::Variant;
 use th_power::{DieFractionTable, PowerBreakdown, PowerModel};
-use th_sim::{SimStats, Simulator};
+use th_sim::{CoreWork, SimStats, Simulator};
 use th_workloads::Workload;
 
 /// Result of running a workload on the dual-core chip of §4.
@@ -78,22 +78,38 @@ pub fn run_chip(
     workload: &Workload,
     max_insts: u64,
 ) -> Result<ChipResult, th_isa::Trap> {
+    run_chip_with_work(variant, workload, max_insts).map(|(run, _)| run)
+}
+
+/// [`run_chip`], also returning the core loop's work counters (warmup
+/// included) for telemetry.
+///
+/// # Errors
+///
+/// Propagates [`th_isa::Trap`] like [`run_chip`].
+pub fn run_chip_with_work(
+    variant: Variant,
+    workload: &Workload,
+    max_insts: u64,
+) -> Result<(ChipResult, CoreWork), th_isa::Trap> {
     let cfg = variant.sim_config();
     let budget = max_insts.min(workload.inst_budget);
     let result =
         Simulator::new(cfg).run_with_warmup(&workload.program, budget / 5, budget)?;
+    let work = result.work;
     let core_stats = result.stats;
     let mut chip_stats = core_stats.clone();
     chip_stats.merge(&core_stats);
     let power = PowerModel::new().compute(&chip_stats, core_stats.cycles, &variant.power_config());
-    Ok(ChipResult {
+    let run = ChipResult {
         variant,
         workload: workload.name,
         clock_ghz: cfg.clock_ghz,
         core_stats,
         chip_stats,
         power,
-    })
+    };
+    Ok((run, work))
 }
 
 #[cfg(test)]

@@ -459,6 +459,7 @@ impl<'a> CoSimulator<'a> {
             unit_leakage_w,
             unit_top_die,
             sim_wall_s: self.sim_wall_s,
+            sim_work: self.session.work(),
             solver_wall_s: self.solver_wall_s,
             solver_sweeps: self.solver_sweeps,
         })

@@ -1,6 +1,7 @@
 //! Co-simulation output: the per-interval time series and summaries.
 
 use std::fmt;
+use th_sim::CoreWork;
 use th_stack3d::Unit;
 
 /// One interval of the co-simulation trace.
@@ -64,6 +65,9 @@ pub struct CoSimReport {
     pub unit_top_die: Vec<(Unit, f64)>,
     /// Wall-clock seconds spent inside the cycle simulator.
     pub sim_wall_s: f64,
+    /// The cycle simulator's work over the run (telemetry, like the
+    /// wall-clock fields).
+    pub sim_work: CoreWork,
     /// Wall-clock seconds spent inside the thermal solver.
     pub solver_wall_s: f64,
     /// Relaxation sweeps over all transient steps.
@@ -216,6 +220,7 @@ mod tests {
             unit_leakage_w: vec![],
             unit_top_die: vec![],
             sim_wall_s: 0.0,
+            sim_work: CoreWork::default(),
             solver_wall_s: 0.0,
             solver_sweeps: 0,
         }

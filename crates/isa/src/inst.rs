@@ -145,6 +145,7 @@ pub enum FuClass {
 
 impl Op {
     /// The broad class of this opcode.
+    #[inline]
     pub fn class(self) -> OpClass {
         use Op::*;
         match self {
@@ -164,6 +165,7 @@ impl Op {
     }
 
     /// The functional unit class this opcode issues to.
+    #[inline]
     pub fn fu_class(self) -> FuClass {
         use Op::*;
         match self.class() {
@@ -182,11 +184,13 @@ impl Op {
     }
 
     /// Whether this opcode reads `rs1`.
+    #[inline]
     pub fn reads_rs1(self) -> bool {
         !matches!(self, Op::Lui | Op::Jal | Op::Nop | Op::Halt)
     }
 
     /// Whether this opcode reads `rs2`.
+    #[inline]
     pub fn reads_rs2(self) -> bool {
         use Op::*;
         matches!(
@@ -228,6 +232,7 @@ impl Op {
     }
 
     /// Whether this opcode writes `rd`.
+    #[inline]
     pub fn writes_rd(self) -> bool {
         use Op::*;
         !matches!(
@@ -237,27 +242,32 @@ impl Op {
     }
 
     /// Whether this opcode is a conditional branch.
+    #[inline]
     pub fn is_cond_branch(self) -> bool {
         use Op::*;
         matches!(self, Beq | Bne | Blt | Bge | Bltu | Bgeu)
     }
 
     /// Whether this opcode is any control transfer (branch or jump).
+    #[inline]
     pub fn is_control(self) -> bool {
         self.class() == OpClass::Control
     }
 
     /// Whether this opcode is an indirect jump.
+    #[inline]
     pub fn is_indirect(self) -> bool {
         matches!(self, Op::Jalr)
     }
 
     /// Whether this opcode accesses memory.
+    #[inline]
     pub fn is_mem(self) -> bool {
         matches!(self.class(), OpClass::Load | OpClass::Store)
     }
 
     /// Memory access size in bytes (loads/stores only).
+    #[inline]
     pub fn mem_size(self) -> Option<u8> {
         use Op::*;
         match self {
@@ -408,6 +418,7 @@ impl Inst {
     }
 
     /// Destination register, if this instruction writes one (excluding `x0`).
+    #[inline]
     pub fn dest(&self) -> Option<Reg> {
         if self.op.writes_rd() && !self.rd.is_zero() {
             Some(self.rd)

@@ -65,11 +65,13 @@ pub struct DynInst {
 
 impl DynInst {
     /// Whether this record is a load.
+    #[inline]
     pub fn is_load(&self) -> bool {
         self.inst.op.class() == crate::inst::OpClass::Load
     }
 
     /// Whether this record is a store.
+    #[inline]
     pub fn is_store(&self) -> bool {
         self.inst.op.class() == crate::inst::OpClass::Store
     }

@@ -2,10 +2,45 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
+
+/// Hashes a page number with one multiply (Fibonacci hashing), folding
+/// the product's well-mixed high half into the low bits the table
+/// indexes with, so strided page numbers still spread. Page numbers are
+/// the simulated program's addresses, and SipHash's flooding resistance
+/// is not worth its cost on every memory access.
+#[derive(Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl PageHasher {
+    #[inline]
+    fn mix(&mut self, n: u64) {
+        let x = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = x ^ (x >> 32);
+    }
+}
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// A sparse 64-bit byte-addressable memory.
 ///
@@ -23,7 +58,7 @@ const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 /// ```
 #[derive(Clone, Default)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>,
 }
 
 impl Memory {
@@ -37,6 +72,7 @@ impl Memory {
         self.pages.len()
     }
 
+    #[inline]
     fn page(&self, addr: u64) -> Option<&[u8; PAGE_SIZE]> {
         self.pages.get(&(addr >> PAGE_SHIFT)).map(|p| p.as_ref())
     }
@@ -137,6 +173,16 @@ impl fmt::Debug for Memory {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn strided_pages_hash_apart() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<PageHasher>::default();
+        // Pages 1 MiB apart: a plain multiply leaves their low bits equal.
+        let low: std::collections::HashSet<u64> =
+            (0..64u64).map(|i| build.hash_one(i << 8) & 0x3f).collect();
+        assert!(low.len() > 32, "only {} distinct low-bit buckets", low.len());
+    }
 
     #[test]
     fn zero_before_write() {

@@ -115,6 +115,7 @@ impl Reg {
     }
 
     /// Flat index into the 64-entry architectural register file.
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -129,11 +130,13 @@ impl Reg {
     }
 
     /// Whether this is a floating-point register.
+    #[inline]
     pub fn is_fp(self) -> bool {
         self.0 >= 32
     }
 
     /// Whether this is the hardwired zero register `x0`.
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0
     }

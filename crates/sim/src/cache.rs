@@ -40,6 +40,10 @@ pub struct Cache {
     cfg: CacheConfig,
     lines: Vec<Line>,
     tick: u64,
+    /// `log2(line_bytes)`: an address's line number is `addr >> line_shift`.
+    line_shift: u32,
+    /// `log2(line_bytes * sets)`: an address's tag is `addr >> tag_shift`.
+    tag_shift: u32,
 }
 
 impl Cache {
@@ -47,12 +51,22 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if sets or line size are not powers of two, or ways is 0.
+    /// Panics if sets or line size are not powers of two, ways is 0, or
+    /// `sets * line_bytes` is 2^64 or more.
     pub fn new(cfg: CacheConfig) -> Cache {
         assert!(cfg.sets.is_power_of_two(), "sets must be a power of two");
         assert!(cfg.line_bytes.is_power_of_two(), "line size must be a power of two");
         assert!(cfg.ways > 0, "cache needs at least one way");
-        Cache { cfg, lines: vec![Line::default(); cfg.sets * cfg.ways], tick: 0 }
+        let line_shift = cfg.line_bytes.trailing_zeros();
+        let tag_shift = line_shift + cfg.sets.trailing_zeros();
+        assert!(tag_shift < 64, "a cache must map less than the whole address space");
+        Cache {
+            cfg,
+            lines: vec![Line::default(); cfg.sets * cfg.ways],
+            tick: 0,
+            line_shift,
+            tag_shift,
+        }
     }
 
     /// This cache's configuration.
@@ -65,12 +79,14 @@ impl Cache {
         self.cfg.sets as u64 * self.cfg.ways as u64 * self.cfg.line_bytes
     }
 
+    #[inline]
     fn set_of(&self, addr: u64) -> usize {
-        ((addr / self.cfg.line_bytes) as usize) & (self.cfg.sets - 1)
+        ((addr >> self.line_shift) as usize) & (self.cfg.sets - 1)
     }
 
+    #[inline]
     fn tag_of(&self, addr: u64) -> u64 {
-        addr / self.cfg.line_bytes / self.cfg.sets as u64
+        addr >> self.tag_shift
     }
 
     /// Probes for `addr` without fills or LRU updates.
@@ -101,9 +117,7 @@ impl Cache {
             .min_by_key(|l| if l.valid { l.lru + 1 } else { 0 })
             .expect("ways > 0");
         let evicted = if victim.valid && victim.dirty {
-            Some(
-                (victim.tag * self.cfg.sets as u64 + set as u64) * self.cfg.line_bytes,
-            )
+            Some((victim.tag << self.tag_shift) | ((set as u64) << self.line_shift))
         } else {
             None
         };
@@ -267,9 +281,40 @@ impl MemoryHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small() -> Cache {
         Cache::new(CacheConfig { sets: 4, ways: 2, line_bytes: 64, latency: 3 })
+    }
+
+    proptest! {
+        /// Shift indexing agrees with the division formulas it replaced,
+        /// and an evicted line's address maps back to its set and tag.
+        #[test]
+        fn shift_indexing_matches_division(
+            set_bits in 0u32..20,
+            line_bits in 0u32..20,
+            addr in any::<u64>(),
+        ) {
+            let sets = 1usize << set_bits;
+            let line_bytes = 1u64 << line_bits;
+            let c = Cache::new(CacheConfig { sets, ways: 1, line_bytes, latency: 1 });
+            let set = ((addr / line_bytes) as usize) & (sets - 1);
+            let tag = addr / line_bytes / sets as u64;
+            prop_assert_eq!(c.set_of(addr), set);
+            prop_assert_eq!(c.tag_of(addr), tag);
+            let line_addr = (tag * sets as u64 + set as u64) * line_bytes;
+            prop_assert_eq!((tag << c.tag_shift) | ((set as u64) << c.line_shift), line_addr);
+        }
+    }
+
+    #[test]
+    fn a_dirty_eviction_reports_the_victim_line_address() {
+        let mut c = small();
+        c.access(0x1254, true); // set 1 of a 4-set, 64 B cache: line 0x1240
+        c.access(0x1354, false);
+        let (_, evicted) = c.access(0x1454, false); // third line in set 1
+        assert_eq!(evicted, Some(0x1240));
     }
 
     #[test]

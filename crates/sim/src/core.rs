@@ -5,24 +5,24 @@
 //! dependant that issues in cycle *c* (modelling the bypass network), and
 //! a slot freed at commit is reusable the same cycle.
 //!
-//! The loop is event driven: a completion-event heap, per-producer
-//! wakeup lists, an explicit ready queue ordered by age, and idle-cycle
-//! skipping: when no stage can make progress before cycle *T* it jumps
-//! `cycle` straight to *T*, batch-charging the per-cycle stall statistics
-//! for the skipped window. Test builds keep the original scan loop, which
-//! walks the whole ROB every cycle, as the reference oracle: the
-//! `engine_equivalence` and `engine_golden` test modules require
-//! bit-identical [`SimStats`] from both.
+//! The loop is event driven: a completion wheel, per-producer wakeup
+//! lists, a ready set walked oldest first, and idle-cycle skipping: when
+//! no stage can make progress before cycle *T* it jumps `cycle` straight
+//! to *T*, batch-charging the per-cycle stall statistics for the skipped
+//! window. Every fetched, uncommitted instruction sits in one ring indexed
+//! by its sequence number (see [`crate::event`]). Test builds keep the
+//! original scan loop, which walks the whole ROB every cycle, as the
+//! reference oracle: the `engine_equivalence` and `engine_golden` test
+//! modules require bit-identical [`SimStats`] from both.
 
 use crate::branch::{BranchPredictor, Btb, ReturnStack};
 use crate::cache::{CacheKind, MemoryHierarchy};
 use crate::config::SimConfig;
+use crate::event::{BitRing, CompletionWheel, InFlight};
 use crate::lsq::{LoadSearch, Lsq};
 use crate::scheduler::{AllocPolicy, Scheduler};
 use crate::stats::SimStats;
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
-use th_isa::{DynInst, FuClass, Machine, Op, OpClass, Program, Trap};
+use th_isa::{DynInst, FuClass, Inst, Machine, Op, OpClass, Program, Trap};
 use th_stack3d::Unit;
 use th_width::{
     PartialAddressMemoizer, UpperEncoding, Width, WidthMemoFile, WidthPredictor,
@@ -35,6 +35,40 @@ pub struct SimResult {
     pub clock_ghz: f64,
     /// All counters.
     pub stats: SimStats,
+    /// The core loop's own work over the whole run, warmup included.
+    pub work: CoreWork,
+}
+
+/// What the core loop did to simulate a run: the instructions it
+/// committed, how many cycles it stepped through stage by stage, how
+/// many idle skipping jumped over, and how many completion events it
+/// processed. These count the simulator's work, not the modelled
+/// machine's, so they live outside [`SimStats`] and ignore any warmup
+/// window; like the statistics they depend only on the program and the
+/// configuration.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CoreWork {
+    /// Instructions committed.
+    pub committed: u64,
+    /// Cycles whose stages the loop executed.
+    pub cycles_stepped: u64,
+    /// Cycles idle skipping jumped over.
+    pub cycles_skipped: u64,
+    /// Completion events processed.
+    pub events: u64,
+}
+
+impl CoreWork {
+    /// Fraction of simulated cycles that idle skipping jumped over (0
+    /// when nothing was simulated).
+    pub fn idle_skip_ratio(&self) -> f64 {
+        let total = self.cycles_stepped + self.cycles_skipped;
+        if total == 0 {
+            0.0
+        } else {
+            self.cycles_skipped as f64 / total as f64
+        }
+    }
 }
 
 impl SimResult {
@@ -65,17 +99,27 @@ enum SlotState {
     Done,
 }
 
-#[derive(Clone, Debug)]
+/// One in-flight instruction. Fetch writes the front-end fields (`di`
+/// through `rf_charged`); dispatch fills in the rest where the entry
+/// sits, so until then they hold a previous occupant's values.
+#[derive(Clone, Copy, Debug)]
 struct Slot {
     di: DynInst,
+    /// `di.inst.op.class()` and `.fu_class()`, looked up once at fetch.
+    class: OpClass,
+    fu: FuClass,
+    /// Cycle the instruction clears the front-end pipe.
+    dispatch_ready_at: u64,
+    /// Branch whose direction/target was mispredicted at fetch.
+    mispredicted: bool,
+    /// The one-per-group register-read width stall has been applied.
+    rf_charged: bool,
     state: SlotState,
     rs_die: Option<usize>,
     /// Producers of the two sources, read by the scan reference's issue.
     #[cfg(test)]
     src_seq: [Option<u64>; 2],
     complete_at: u64,
-    /// Branch whose direction/target was mispredicted at fetch.
-    mispredicted: bool,
     pred_width: Width,
     in_width: Width,
     out_width: Width,
@@ -90,25 +134,65 @@ struct Slot {
     visible: bool,
 }
 
-#[derive(Clone, Debug)]
-struct FetchedInst {
-    di: DynInst,
-    dispatch_ready_at: u64,
-    mispredicted: bool,
-    /// The one-per-group register-read width stall has been applied.
-    rf_charged: bool,
+impl Slot {
+    /// The in-flight ring's initial contents.
+    fn filler() -> Slot {
+        let di = DynInst {
+            seq: 0,
+            pc: 0,
+            inst: Inst::nop(),
+            next_pc: 0,
+            rs1_val: 0,
+            rs2_val: 0,
+            rd_val: 0,
+            ea: None,
+            taken: false,
+        };
+        Slot {
+            di,
+            class: OpClass::Misc,
+            fu: FuClass::None,
+            dispatch_ready_at: 0,
+            mispredicted: false,
+            rf_charged: false,
+            state: SlotState::Waiting,
+            rs_die: None,
+            #[cfg(test)]
+            src_seq: [None, None],
+            complete_at: u64::MAX,
+            pred_width: Width::Full,
+            in_width: Width::Full,
+            out_width: Width::Full,
+            unsafe_in: false,
+            unsafe_out: false,
+            wrote_back: false,
+            deps: 0,
+            visible: false,
+        }
+    }
 }
 
-/// Per-producer wakeup lists keyed by sequence number on a power-of-two
-/// ring. The ring spans one full ROB plus a commit group, so
-/// the sequence numbers live at any instant (in-flight producers, plus
+/// Per-producer wakeup lists threaded through flat arrays: a consumer
+/// parks one node per unresolved source operand on its producer's list.
+/// Producer heads and consumer nodes are keyed by sequence number on
+/// power-of-two rings spanning one full ROB plus a commit group, so the
+/// sequence numbers live at any instant (in-flight producers, plus
 /// producers committed earlier in the cycle whose completion event fires
-/// this cycle) can never collide.
+/// this cycle) can never collide. A list's order does not matter: waking
+/// only counts down each consumer's unresolved operands.
 #[derive(Clone, Debug)]
 struct WaiterTable {
-    ring: Vec<Vec<u64>>,
+    /// First node of each producer's list.
+    heads: Vec<u32>,
+    /// Per node (consumer seq × source operand): the next node of its
+    /// list, and the consumer.
+    next: Vec<u32>,
+    consumer: Vec<u64>,
     mask: u64,
 }
+
+/// End of a wakeup list.
+const NO_WAITER: u32 = u32::MAX;
 
 /// Per-cycle free functional-unit budget, reset at every issue stage.
 struct FuFree {
@@ -140,22 +224,36 @@ impl FuFree {
 impl WaiterTable {
     fn new(rob_size: usize, commit_width: usize) -> WaiterTable {
         let cap = (rob_size + commit_width + 1).next_power_of_two();
-        WaiterTable { ring: vec![Vec::new(); cap], mask: cap as u64 - 1 }
+        WaiterTable {
+            heads: vec![NO_WAITER; cap],
+            next: vec![NO_WAITER; 2 * cap],
+            consumer: vec![0; 2 * cap],
+            mask: cap as u64 - 1,
+        }
     }
 
-    fn add(&mut self, producer: u64, consumer: u64) {
-        self.ring[(producer & self.mask) as usize].push(consumer);
+    /// Parks source operand `operand` (0 or 1) of `consumer` on
+    /// `producer`'s list.
+    fn add(&mut self, producer: u64, consumer: u64, operand: usize) {
+        let node = (consumer & self.mask) as usize * 2 + operand;
+        let head = &mut self.heads[(producer & self.mask) as usize];
+        self.next[node] = *head;
+        self.consumer[node] = consumer;
+        *head = node as u32;
     }
 
-    /// Takes the wakeup list for `producer`; return the (cleared) vector
-    /// with [`WaiterTable::put_back`] to recycle its allocation.
-    fn take(&mut self, producer: u64) -> Vec<u64> {
-        std::mem::take(&mut self.ring[(producer & self.mask) as usize])
+    /// Detaches `producer`'s list and returns its first node.
+    fn take(&mut self, producer: u64) -> u32 {
+        std::mem::replace(&mut self.heads[(producer & self.mask) as usize], NO_WAITER)
     }
 
-    fn put_back(&mut self, producer: u64, mut list: Vec<u64>) {
-        list.clear();
-        self.ring[(producer & self.mask) as usize] = list;
+    /// The consumer parked at `node`, and the list's next node.
+    fn at(&self, node: u32) -> (u64, u32) {
+        (self.consumer[node as usize], self.next[node as usize])
+    }
+
+    fn clear(&mut self) {
+        self.heads.fill(NO_WAITER);
     }
 }
 
@@ -310,6 +408,11 @@ impl SimSession {
         self.core.cycle
     }
 
+    /// The core loop's work since the session started (across restarts).
+    pub fn work(&self) -> CoreWork {
+        self.core.work()
+    }
+
     /// Whether the program has halted and the pipeline drained.
     pub fn finished(&self) -> bool {
         self.finished
@@ -366,9 +469,11 @@ struct Core {
     pam: PartialAddressMemoizer,
     scheduler: Scheduler,
     lsq: Lsq,
-    ifq: VecDeque<FetchedInst>,
-    rob: VecDeque<Slot>,
-    rob_head_seq: u64,
+    /// The ROB and the IFQ, one ring indexed by sequence number. The
+    /// sequence number is the interpreter's instruction count: fetch
+    /// never squashes (the oracle fetches no wrong path) and a restart
+    /// happens only on a drained pipeline, so it stays contiguous.
+    inflight: InFlight<Slot>,
     rename: [Option<u64>; 64],
     cycle: u64,
     /// Fetch is stalled until this cycle (I-cache misses, BTB bubbles,
@@ -385,17 +490,16 @@ struct Core {
     /// constant, so matured entries always form a queue prefix and the
     /// count replaces the per-cycle `iter().filter().count()`.
     ifq_matured: usize,
-    /// Pending completion events as `(cycle, seq)` min-heap.
-    ev_heap: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Waiting slots whose operands are all resolved, ordered
-    /// oldest-first (the scan reference's issue priority).
-    ev_ready: BTreeSet<u64>,
+    /// Pending completion events, drained in `(cycle, seq)` order.
+    ev_wheel: CompletionWheel,
+    /// Waiting slots whose operands are all resolved, walked oldest
+    /// first from the ROB head (the scan reference's issue priority).
+    ev_ready: BitRing,
     /// Who to wake when a producer's result becomes visible.
     ev_waiters: WaiterTable,
-    /// Reused snapshot buffer for the issue stage.
-    ready_scratch: Vec<u64>,
     /// Deadlock-watchdog anchor: the last cycle anything committed.
     last_commit_cycle: u64,
+    work: CoreWork,
     #[cfg(test)]
     engine: CoreEngine,
 }
@@ -421,9 +525,14 @@ impl Core {
             pam: PartialAddressMemoizer::new(),
             scheduler: Scheduler::new(cfg.core.rs_size, policy),
             lsq: Lsq::new(cfg.core.lq_size, cfg.core.sq_size),
-            ifq: VecDeque::new(),
-            rob: VecDeque::new(),
-            rob_head_seq: 0,
+            // A full ROB, a full IFQ and the fetch groups still in the
+            // front-end pipe; the ring grows if that is ever exceeded.
+            inflight: InFlight::new(
+                cfg.core.rob_size
+                    + cfg.core.ifq_size
+                    + cfg.core.fetch_width * (cfg.pipeline.frontend_depth as usize + 1),
+                Slot::filler(),
+            ),
             rename: [None; 64],
             cycle: 0,
             fetch_resume_at: 0,
@@ -432,14 +541,30 @@ impl Core {
             int_div_busy_until: 0,
             fp_div_busy_until: 0,
             ifq_matured: 0,
-            ev_heap: BinaryHeap::new(),
-            ev_ready: BTreeSet::new(),
+            ev_wheel: CompletionWheel::new(
+                Self::wheel_span(cfg),
+                cfg.core.rob_size + cfg.core.commit_width + 1,
+            ),
+            ev_ready: BitRing::new(cfg.core.rob_size + 1),
             ev_waiters: WaiterTable::new(cfg.core.rob_size, cfg.core.commit_width),
-            ready_scratch: Vec::new(),
             last_commit_cycle: 0,
+            work: CoreWork::default(),
             #[cfg(test)]
             engine: CoreEngine::Event,
         }
+    }
+
+    /// The completion wheel's bucket span: the slowest memory access at
+    /// the starting clock, with room to spare. A DVFS change reprices
+    /// DRAM in cycles, and anything due later waits in the wheel's
+    /// overflow.
+    fn wheel_span(cfg: &SimConfig) -> usize {
+        let worst = cfg.dram_cycles()
+            + cfg.pipeline.l2_latency
+            + cfg.mem.l1_latency
+            + cfg.mem.tlb_miss_penalty
+            + cfg.lat.agu;
+        (worst + 64) as usize
     }
 
     /// Whether the scan reference drives the loop (test builds only).
@@ -453,9 +578,15 @@ impl Core {
         false
     }
 
+    /// The loop's work so far.
+    fn work(&self) -> CoreWork {
+        CoreWork { committed: self.stats.committed, ..self.work }
+    }
+
     fn run(mut self, warmup_insts: u64, max_insts: u64) -> Result<SimResult, Trap> {
         let mut warmup_snapshot: Option<SimStats> = None;
         self.run_until(warmup_insts, max_insts, u64::MAX, &mut warmup_snapshot)?;
+        let work = self.work();
         self.stats.cycles = self.cycle.max(1);
         self.stats.width_pred = *self.width_pred.stats();
         self.stats.pam = *self.pam.stats();
@@ -466,7 +597,7 @@ impl Core {
             }
         }
         self.stats.cycles = self.stats.cycles.max(1);
-        Ok(SimResult { clock_ghz: self.cfg.clock_ghz, stats: self.stats })
+        Ok(SimResult { clock_ghz: self.cfg.clock_ghz, stats: self.stats, work })
     }
 
     /// The cycle loop, stoppable at an interval boundary. Runs until the
@@ -487,6 +618,7 @@ impl Core {
     ) -> Result<bool, Trap> {
         while self.stats.committed < max_insts && self.cycle < until_cycle {
             let committed_before = self.stats.committed;
+            self.work.cycles_stepped += 1;
             self.commit();
             self.complete_and_issue();
             self.dispatch();
@@ -503,15 +635,15 @@ impl Core {
                 self.stats.pam = *self.pam.stats();
                 *warmup_snapshot = Some(self.stats.clone());
             }
-            if self.fetch_done && self.rob.is_empty() && self.ifq.is_empty() {
+            if self.fetch_done && self.inflight.is_empty() {
                 return Ok(true);
             }
             assert!(
                 self.cycle - self.last_commit_cycle < 200_000,
                 "pipeline deadlock at cycle {} (rob {}, ifq {})",
                 self.cycle,
-                self.rob.len(),
-                self.ifq.len()
+                self.inflight.rob_len(),
+                self.inflight.ifq_len()
             );
             if !self.scan_reference() && self.stats.committed < max_insts {
                 self.cycle = self.next_cycle(self.last_commit_cycle);
@@ -529,16 +661,14 @@ impl Core {
     /// a workload across co-simulation intervals. Only call once the
     /// pipeline has drained.
     fn restart(&mut self, program: &Program) {
-        debug_assert!(self.rob.is_empty() && self.ifq.is_empty(), "restart mid-flight");
+        debug_assert!(self.inflight.is_empty(), "restart mid-flight");
         let policy = if self.cfg.herding.enabled && self.cfg.herding.rs_herding {
             AllocPolicy::HerdTopFirst
         } else {
             AllocPolicy::RoundRobin
         };
         self.machine = Machine::new(program);
-        self.ifq.clear();
-        self.rob.clear();
-        self.rob_head_seq = 0;
+        self.inflight.clear();
         self.rename = [None; 64];
         // Fresh architectural registers are all zero, so the memoization
         // bits must drop back to their reset (low-width) state.
@@ -548,9 +678,9 @@ impl Core {
         self.ifq_matured = 0;
         self.fetch_done = false;
         self.redirect_pending = None;
-        self.ev_heap.clear();
+        self.ev_wheel.clear();
         self.ev_ready.clear();
-        self.ev_waiters = WaiterTable::new(self.cfg.core.rob_size, self.cfg.core.commit_width);
+        self.ev_waiters.clear();
         self.fetch_resume_at = self.fetch_resume_at.max(self.cycle);
         self.last_commit_cycle = self.cycle;
     }
@@ -571,7 +701,10 @@ impl Core {
         // `ifq_matured` was brought up to date by dispatch this cycle.
         debug_assert_eq!(
             self.ifq_matured,
-            self.ifq.iter().filter(|f| f.dispatch_ready_at <= self.cycle).count()
+            (0..self.inflight.ifq_len())
+                .filter_map(|i| self.inflight.ifq(i))
+                .filter(|f| f.dispatch_ready_at <= self.cycle)
+                .count()
         );
         if self.ifq_matured + self.cfg.core.fetch_width > self.cfg.core.ifq_size {
             self.stats.ifq_full_stalls += 1;
@@ -619,12 +752,13 @@ impl Core {
             self.stats.activity.record_full(Unit::Decode);
             let (mispredicted, taken, extra_bubbles) = self.predict_control(&di);
             bubbles += extra_bubbles;
-            self.ifq.push_back(FetchedInst {
-                di,
-                dispatch_ready_at: self.cycle + self.cfg.pipeline.frontend_depth,
-                mispredicted,
-                rf_charged: false,
-            });
+            let slot = self.inflight.push(di.seq);
+            slot.di = di;
+            slot.class = di.inst.op.class();
+            slot.fu = di.inst.op.fu_class();
+            slot.dispatch_ready_at = self.cycle + self.cfg.pipeline.frontend_depth;
+            slot.mispredicted = mispredicted;
+            slot.rf_charged = false;
             if mispredicted {
                 self.redirect_pending = Some(di.seq);
                 break;
@@ -781,11 +915,9 @@ impl Core {
 
     /// Whether width prediction applies to this opcode (the integer
     /// datapath; FP values live in the full-width FP cluster).
-    fn width_predicted(op: Op) -> bool {
-        matches!(
-            op.class(),
-            OpClass::IntAlu | OpClass::IntMul | OpClass::Load | OpClass::Store
-        ) && !matches!(op, Op::Fld | Op::Fsd)
+    fn width_predicted(op: Op, class: OpClass) -> bool {
+        matches!(class, OpClass::IntAlu | OpClass::IntMul | OpClass::Load | OpClass::Store)
+            && !matches!(op, Op::Fld | Op::Fsd)
     }
 
     fn classify(&self, v: u64) -> Width {
@@ -795,12 +927,12 @@ impl Core {
     /// Whether the register-read group at the IFQ head would take the §3.1
     /// one-cycle unsafe-width stall if dispatch ran at `cycle`.
     fn dispatch_group_would_stall(&self, cycle: u64) -> bool {
-        let group_end = self.cfg.core.decode_width.min(self.ifq.len());
-        for f in self.ifq.iter().take(group_end) {
+        for i in 0..self.cfg.core.decode_width {
+            let Some(f) = self.inflight.ifq(i) else { break };
             if f.dispatch_ready_at > cycle {
                 break;
             }
-            if !f.rf_charged && Self::width_predicted(f.di.inst.op) {
+            if !f.rf_charged && Self::width_predicted(f.di.inst.op, f.class) {
                 let pred = self.width_pred.peek(f.di.pc);
                 let in_width = self.operand_width(&f.di);
                 if pred == Width::Low && in_width == Width::Full {
@@ -816,46 +948,48 @@ impl Core {
 
         // Matured IFQ entries form a prefix (constant front-end depth);
         // advance the cursor once per cycle, before any pops.
-        while self.ifq_matured < self.ifq.len()
-            && self.ifq[self.ifq_matured].dispatch_ready_at <= self.cycle
+        while self
+            .inflight
+            .ifq(self.ifq_matured)
+            .is_some_and(|f| f.dispatch_ready_at <= self.cycle)
         {
             self.ifq_matured += 1;
         }
 
         // §3.1: one unsafe operand-width misprediction stalls the whole
         // register-read group for one cycle (at most one stall per group).
-        if herding {
-            let group_end = self.cfg.core.decode_width.min(self.ifq.len());
-            if self.dispatch_group_would_stall(self.cycle) {
-                // §3.1: the group stalls exactly one cycle regardless of
-                // how many of its instructions mispredicted.
-                for f in self.ifq.iter_mut().take(group_end) {
-                    if f.dispatch_ready_at <= self.cycle {
-                        f.rf_charged = true;
-                    }
+        if herding && self.dispatch_group_would_stall(self.cycle) {
+            // §3.1: the group stalls exactly one cycle regardless of how
+            // many of its instructions mispredicted.
+            let group_end = self.cfg.core.decode_width.min(self.inflight.ifq_len()) as u64;
+            let front = self.inflight.dispatched();
+            for seq in front..front + group_end {
+                let f = self.inflight.get_mut(seq);
+                if f.dispatch_ready_at <= self.cycle {
+                    f.rf_charged = true;
                 }
-                self.stats.rf_unsafe_group_stalls += 1;
-                return; // the whole group dispatches next cycle
             }
+            self.stats.rf_unsafe_group_stalls += 1;
+            return; // the whole group dispatches next cycle
         }
 
         for _ in 0..self.cfg.core.decode_width {
-            let Some(front) = self.ifq.front() else { break };
+            let Some(front) = self.inflight.ifq(0) else { break };
             if front.dispatch_ready_at > self.cycle {
                 break;
             }
-            let op = front.di.inst.op;
+            let (op, class) = (front.di.inst.op, front.class);
             // Structural hazards.
-            if self.rob.len() >= self.cfg.core.rob_size {
+            if self.inflight.rob_len() >= self.cfg.core.rob_size {
                 self.stats.rob_full_stalls += 1;
                 break;
             }
-            let needs_rs = op.fu_class() != FuClass::None;
+            let needs_rs = front.fu != FuClass::None;
             if needs_rs && self.scheduler.is_full() {
                 self.stats.rs_full_stalls += 1;
                 break;
             }
-            match op.class() {
+            match class {
                 OpClass::Load if !self.lsq.lq_has_space() => {
                     self.stats.lsq_full_stalls += 1;
                     break;
@@ -867,10 +1001,11 @@ impl Core {
                 _ => {}
             }
 
-            let f = self.ifq.pop_front().expect("front checked");
-            debug_assert!(self.ifq_matured > 0, "popped an unmatured IFQ entry");
+            // The entry crosses from the IFQ into the ROB where it sits.
+            let seq = self.inflight.dispatch();
+            debug_assert!(self.ifq_matured > 0, "dispatched an unmatured IFQ entry");
             self.ifq_matured -= 1;
-            let di = f.di;
+            let di = self.inflight.get(seq).di;
             self.stats.dispatched += 1;
             self.stats.rename_ops += 1;
             self.stats.activity.record_full(Unit::Rename);
@@ -930,7 +1065,7 @@ impl Core {
             let mut unsafe_out = false;
             let in_width = self.operand_width(&di);
             let out_width = self.result_width(&di);
-            if herding && Self::width_predicted(op) {
+            if herding && Self::width_predicted(op, class) {
                 pred_width = self.width_pred.predict(di.pc);
                 let actual =
                     if in_width == Width::Full || out_width == Width::Full { Width::Full } else { Width::Low };
@@ -940,7 +1075,7 @@ impl Core {
                 // handle result width at the cache (§3.6).
                 unsafe_out = pred_width == Width::Low
                     && out_width == Width::Full
-                    && matches!(op.class(), OpClass::IntAlu | OpClass::IntMul);
+                    && matches!(class, OpClass::IntAlu | OpClass::IntMul);
                 self.width_pred.update(di.pc, actual);
                 if unsafe_in || unsafe_out {
                     // §3.1: correct the prediction to stop repeat stalls.
@@ -960,7 +1095,7 @@ impl Core {
             } else {
                 None
             };
-            match op.class() {
+            match class {
                 OpClass::Load => self.lsq.alloc_load(),
                 OpClass::Store => self.lsq.alloc_store(
                     di.seq,
@@ -970,48 +1105,45 @@ impl Core {
                 _ => {}
             }
 
-            let state = if needs_rs { SlotState::Waiting } else { SlotState::Done };
             let complete_at = if needs_rs { u64::MAX } else { self.cycle + 1 };
-            self.rob.push_back(Slot {
-                di,
-                state,
-                rs_die,
-                #[cfg(test)]
-                src_seq,
-                complete_at,
-                mispredicted: f.mispredicted,
-                pred_width,
-                in_width,
-                out_width,
-                unsafe_in,
-                unsafe_out,
-                wrote_back: !needs_rs,
-                deps: 0,
-                visible: false,
-            });
+            let slot = self.inflight.get_mut(seq);
+            slot.state = if needs_rs { SlotState::Waiting } else { SlotState::Done };
+            slot.rs_die = rs_die;
+            #[cfg(test)]
+            {
+                slot.src_seq = src_seq;
+            }
+            slot.complete_at = complete_at;
+            slot.pred_width = pred_width;
+            slot.in_width = in_width;
+            slot.out_width = out_width;
+            slot.unsafe_in = unsafe_in;
+            slot.unsafe_out = unsafe_out;
+            slot.wrote_back = !needs_rs;
+            slot.deps = 0;
+            slot.visible = false;
 
             if !self.scan_reference() {
                 // Wakeup bookkeeping: count unresolved producers and park
                 // on their wakeup lists; resolved slots go straight to the
-                // ready queue. No-FU slots complete unconditionally one
+                // ready set. No-FU slots complete unconditionally one
                 // cycle later — their event also marks them visible.
                 let mut deps = 0u8;
-                for src in src_seq.into_iter().flatten() {
-                    debug_assert!(src >= self.rob_head_seq, "renamed to a committed producer");
-                    let pidx = (src - self.rob_head_seq) as usize;
-                    if !self.rob[pidx].visible {
+                for (operand, src) in src_seq.into_iter().enumerate() {
+                    let Some(src) = src else { continue };
+                    debug_assert!(self.inflight.in_rob(src), "renamed to a committed producer");
+                    if !self.inflight.get(src).visible {
                         deps += 1;
-                        self.ev_waiters.add(src, di.seq);
+                        self.ev_waiters.add(src, seq, operand);
                     }
                 }
-                let slot = self.rob.back_mut().expect("just pushed");
-                slot.deps = deps;
+                self.inflight.get_mut(seq).deps = deps;
                 if needs_rs {
                     if deps == 0 {
-                        self.ev_ready.insert(di.seq);
+                        self.ev_ready.insert(seq);
                     }
                 } else {
-                    self.ev_heap.push(Reverse((complete_at, di.seq)));
+                    self.ev_wheel.push(complete_at, seq, self.cycle);
                 }
             }
         }
@@ -1078,16 +1210,11 @@ impl Core {
     fn src_ready(&self, seq: Option<u64>) -> bool {
         match seq {
             None => true,
-            Some(s) => {
-                if s < self.rob_head_seq {
-                    true // already committed
-                } else {
-                    match self.rob.get((s - self.rob_head_seq) as usize) {
-                        Some(p) => p.state == SlotState::Done && p.complete_at <= self.cycle,
-                        None => true,
-                    }
-                }
-            }
+            // A producer no longer in the ROB has committed.
+            Some(s) => !self.inflight.in_rob(s) || {
+                let p = self.inflight.get(s);
+                p.state == SlotState::Done && p.complete_at <= self.cycle
+            },
         }
     }
 
@@ -1111,46 +1238,49 @@ impl Core {
 
         let mut issued = 0usize;
         let mut free = FuFree::new(&self.cfg.core);
-        for idx in 0..self.rob.len() {
+        for seq in self.inflight.head()..self.inflight.dispatched() {
             if issued >= self.cfg.core.issue_width {
                 break;
             }
-            let slot = &self.rob[idx];
+            let slot = self.inflight.get(seq);
             if slot.state != SlotState::Waiting {
                 continue;
             }
             if !self.src_ready(slot.src_seq[0]) || !self.src_ready(slot.src_seq[1]) {
                 continue;
             }
-            if self.try_issue_slot(idx, &mut free) {
+            if self.try_issue_slot(seq, &mut free) {
                 issued += 1;
             }
         }
     }
 
-    /// Issue: walk only the ready queue, oldest first (the same priority
-    /// order as the scan reference's walk over the ROB).
+    /// Issue: walk only the ready set, oldest first from the ROB head
+    /// (the same priority order as the scan reference's walk over the
+    /// ROB). Each chunk of the set is a copy, so issued slots leave the
+    /// set as the walk goes; issue adds nothing to it.
     fn issue_event(&mut self) {
         self.charge_rs_occupancy();
 
         let mut issued = 0usize;
         let mut free = FuFree::new(&self.cfg.core);
-        let mut candidates = std::mem::take(&mut self.ready_scratch);
-        candidates.clear();
-        candidates.extend(self.ev_ready.iter().copied());
-        for &seq in &candidates {
-            if issued >= self.cfg.core.issue_width {
-                break;
-            }
-            let idx = (seq - self.rob_head_seq) as usize;
-            debug_assert_eq!(self.rob[idx].state, SlotState::Waiting);
-            if self.try_issue_slot(idx, &mut free) {
-                issued += 1;
-                self.ev_ready.remove(&seq);
-                self.ev_heap.push(Reverse((self.rob[idx].complete_at, seq)));
+        let head = self.inflight.head();
+        'walk: for k in 0..self.ev_ready.chunks() {
+            let (base, mut bits) = self.ev_ready.chunk(head, k);
+            while bits != 0 {
+                if issued >= self.cfg.core.issue_width {
+                    break 'walk;
+                }
+                let seq = base + u64::from(bits.trailing_zeros());
+                bits &= bits - 1;
+                debug_assert_eq!(self.inflight.get(seq).state, SlotState::Waiting);
+                if self.try_issue_slot(seq, &mut free) {
+                    issued += 1;
+                    self.ev_ready.remove(seq);
+                    self.ev_wheel.push(self.inflight.get(seq).complete_at, seq, self.cycle);
+                }
             }
         }
-        self.ready_scratch = candidates;
     }
 
     /// Residency accounting: every occupied RS entry burns on its die for
@@ -1161,19 +1291,17 @@ impl Core {
         }
     }
 
-    /// Tries to issue the waiting, operand-ready slot at `idx` against the
+    /// Tries to issue the waiting, operand-ready slot `seq` against the
     /// remaining per-cycle FU budget. Returns whether it issued; on `true`
     /// the slot is `Issued` with its `complete_at` fixed.
-    fn try_issue_slot(&mut self, idx: usize, free: &mut FuFree) -> bool {
+    fn try_issue_slot(&mut self, seq: u64, free: &mut FuFree) -> bool {
         let lat = self.cfg.lat;
         let herding = self.cfg.herding.enabled;
         let cycle = self.cycle;
 
+        let slot = self.inflight.get(seq);
+        let (op, class, fu) = (slot.di.inst.op, slot.class, slot.fu);
         {
-            let slot = &self.rob[idx];
-            let op = slot.di.inst.op;
-            let fu = op.fu_class();
-
             // Functional-unit availability.
             let fu_ok = match fu {
                 FuClass::IntAlu => free.alu > 0,
@@ -1186,7 +1314,7 @@ impl Core {
                 FuClass::FpMul => free.fp_mul > 0,
                 FuClass::FpDiv => free.fp_div > 0 && self.fp_div_busy_until <= cycle,
                 FuClass::Mem => {
-                    if op.class() == OpClass::Store {
+                    if class == OpClass::Store {
                         free.st_ports > 0
                     } else {
                         free.ld_ports > 0
@@ -1198,15 +1326,12 @@ impl Core {
                 return false;
             }
         }
-        let op = self.rob[idx].di.inst.op;
-        let fu = op.fu_class();
-
         // Memory ordering for loads.
         let mut load_plan: Option<(u64, bool)> = None; // (complete_at, forwarded)
-        if op.class() == OpClass::Load {
-            let ea = self.rob[idx].di.ea.expect("loads have addresses");
+        if class == OpClass::Load {
+            let ea = self.inflight.get(seq).di.ea.expect("loads have addresses");
             let size = op.mem_size().unwrap() as u64;
-            match self.lsq.search_for_load(self.rob[idx].di.seq, ea, size) {
+            match self.lsq.search_for_load(seq, ea, size) {
                 LoadSearch::Forward(data_ready) => {
                     if data_ready == u64::MAX {
                         return false; // producing store has not executed yet
@@ -1222,21 +1347,20 @@ impl Core {
                     // access the cache.
                     let start = (cycle + lat.agu).max(data_ready);
                     let mem = self.hierarchy.data_access(ea, false);
-                    self.record_dcache_access(idx, ea, &mem, false);
+                    self.record_dcache_access(&mem);
                     load_plan = Some((start + mem.cycles, false));
                 }
                 LoadSearch::Cache => {
-                    let ea = self.rob[idx].di.ea.unwrap();
                     let mem = self.hierarchy.data_access(ea, false);
-                    self.record_dcache_access(idx, ea, &mem, false);
+                    self.record_dcache_access(&mem);
                     load_plan = Some((cycle + lat.agu + mem.cycles, false));
                 }
             }
         }
 
         // Latency.
-        let slot = &self.rob[idx];
-        let base_latency = match op.fu_class() {
+        let slot = self.inflight.get(seq);
+        let base_latency = match fu {
             FuClass::IntAlu => lat.int_alu,
             FuClass::IntShift => lat.int_shift,
             FuClass::IntMul => {
@@ -1273,7 +1397,7 @@ impl Core {
         let mut load_gated = false;
         if herding {
             if slot_unsafe_in
-                && matches!(op.class(), OpClass::IntAlu | OpClass::IntMul)
+                && matches!(class, OpClass::IntAlu | OpClass::IntMul)
             {
                 // §3.2: one cycle to re-enable the upper 48 bits.
                 complete_at += 1;
@@ -1284,7 +1408,7 @@ impl Core {
                 complete_at += base_latency;
                 self.stats.output_width_replays += 1;
             }
-            if op.class() == OpClass::Load && slot_pred_width == Width::Low {
+            if class == OpClass::Load && slot_pred_width == Width::Low {
                 if self.load_serviced_from_top_die(&slot_di) {
                     load_gated = true;
                 } else {
@@ -1298,7 +1422,7 @@ impl Core {
         }
         // Ledger entry for loads that actually accessed the cache
         // (forwarded loads are serviced by the store queue instead).
-        if op.class() == OpClass::Load && load_plan.is_some_and(|(_, fwd)| !fwd) {
+        if class == OpClass::Load && load_plan.is_some_and(|(_, fwd)| !fwd) {
             if load_gated {
                 self.stats.activity.record_low(Unit::DCache, 0);
             } else {
@@ -1328,7 +1452,7 @@ impl Core {
                 self.fp_div_busy_until = complete_at;
             }
             FuClass::Mem => {
-                if op.class() == OpClass::Store {
+                if class == OpClass::Store {
                     free.st_ports -= 1;
                 } else {
                     free.ld_ports -= 1;
@@ -1340,9 +1464,8 @@ impl Core {
         // Stores: data becomes forwardable once the store executes. Both
         // kinds of memory op broadcast their address into the LSQ; PAM
         // upper-bit matches keep the comparison on the top die (§3.5).
-        if op.class() == OpClass::Store {
-            let ea = self.rob[idx].di.ea.unwrap();
-            let seq = self.rob[idx].di.seq;
+        if class == OpClass::Store {
+            let ea = self.inflight.get(seq).di.ea.expect("stores have addresses");
             self.lsq.set_store_ready(seq, cycle + lat.agu);
             if self.cfg.herding.pam {
                 let out = self.pam.broadcast_store(ea);
@@ -1350,9 +1473,9 @@ impl Core {
             } else {
                 self.record_lsq_broadcast(false);
             }
-        } else if op.class() == OpClass::Load {
+        } else if class == OpClass::Load {
             if self.cfg.herding.pam {
-                let out = self.pam.broadcast_load(self.rob[idx].di.ea.unwrap());
+                let out = self.pam.broadcast_load(self.inflight.get(seq).di.ea.unwrap());
                 self.record_lsq_broadcast(herding && out.upper_match);
             } else {
                 self.record_lsq_broadcast(false);
@@ -1363,10 +1486,10 @@ impl Core {
         }
 
         // Execution accounting.
-        match op.class() {
+        match class {
             OpClass::IntAlu | OpClass::IntMul | OpClass::Control => {
-                let w = if self.rob[idx].in_width == Width::Full
-                    || self.rob[idx].out_width == Width::Full
+                let w = if self.inflight.get(seq).in_width == Width::Full
+                    || self.inflight.get(seq).out_width == Width::Full
                 {
                     Width::Full
                 } else {
@@ -1394,7 +1517,7 @@ impl Core {
             _ => {}
         }
 
-        let slot = &mut self.rob[idx];
+        let slot = self.inflight.get_mut(seq);
         slot.state = SlotState::Issued;
         slot.complete_at = complete_at;
         if let Some(die) = slot.rs_die.take() {
@@ -1430,13 +1553,7 @@ impl Core {
         }
     }
 
-    fn record_dcache_access(
-        &mut self,
-        _idx: usize,
-        _ea: u64,
-        mem: &crate::cache::AccessResult,
-        write: bool,
-    ) {
+    fn record_dcache_access(&mut self, mem: &crate::cache::AccessResult) {
         self.stats.dcache_accesses += 1;
         self.stats.dtlb_accesses += 1;
         self.stats.activity.record_full(Unit::Dtlb);
@@ -1457,7 +1574,6 @@ impl Core {
                 self.stats.dram_accesses += 1;
             }
         }
-        let _ = write;
     }
 
     // ---------------------------------------------------------- completion
@@ -1466,70 +1582,60 @@ impl Core {
     /// cycle, oldest first.
     #[cfg(test)]
     fn scan_completions(&mut self) {
-        for idx in 0..self.rob.len() {
-            let slot = &self.rob[idx];
+        for seq in self.inflight.head()..self.inflight.dispatched() {
+            let slot = self.inflight.get(seq);
             if slot.state != SlotState::Issued || slot.complete_at > self.cycle {
                 continue;
             }
-            self.complete_slot(idx);
+            self.complete_slot(seq);
         }
     }
 
     /// Completion stage: pop every event due this cycle, do the
     /// writeback for slots still in flight, and wake dependants.
     fn process_events(&mut self) {
-        while let Some(&Reverse((at, seq))) = self.ev_heap.peek() {
-            if at > self.cycle {
-                break;
-            }
-            debug_assert_eq!(at, self.cycle, "completion event missed its cycle");
-            self.ev_heap.pop();
+        while let Some(seq) = self.ev_wheel.pop(self.cycle) {
+            self.work.events += 1;
 
             // The slot may already have committed (no-FU slots are `Done`
             // at dispatch and can retire before their event fires); the
             // writeback then already happened at dispatch.
-            if seq >= self.rob_head_seq {
-                let idx = (seq - self.rob_head_seq) as usize;
-                if idx < self.rob.len() {
-                    if self.rob[idx].state == SlotState::Issued {
-                        self.complete_slot(idx);
-                    }
-                    self.rob[idx].visible = true;
+            if self.inflight.in_rob(seq) {
+                if self.inflight.get(seq).state == SlotState::Issued {
+                    self.complete_slot(seq);
                 }
+                self.inflight.get_mut(seq).visible = true;
             }
 
             // Wake consumers parked on this producer.
-            let waiters = self.ev_waiters.take(seq);
-            for &consumer in &waiters {
-                if consumer < self.rob_head_seq {
+            let mut node = self.ev_waiters.take(seq);
+            while node != NO_WAITER {
+                let (consumer, next) = self.ev_waiters.at(node);
+                node = next;
+                if !self.inflight.in_rob(consumer) {
                     continue;
                 }
-                let cidx = (consumer - self.rob_head_seq) as usize;
-                let Some(slot) = self.rob.get_mut(cidx) else { continue };
+                let slot = self.inflight.get_mut(consumer);
                 debug_assert!(slot.deps > 0);
                 slot.deps -= 1;
                 if slot.deps == 0 && slot.state == SlotState::Waiting {
                     self.ev_ready.insert(consumer);
                 }
             }
-            self.ev_waiters.put_back(seq, waiters);
         }
     }
 
-    /// Writeback for the issued slot at `idx` whose result is due this
+    /// Writeback for the issued slot `seq` whose result is due this
     /// cycle: record the register-file/ROB/bypass/tag-broadcast activity
     /// and release a pending fetch redirect if this was the blocking
     /// branch. Shared verbatim with the scan reference.
-    fn complete_slot(&mut self, idx: usize) {
-        let slot = &self.rob[idx];
+    fn complete_slot(&mut self, seq: u64) {
+        let slot = self.inflight.get_mut(seq);
         let di = slot.di;
         let out_width = slot.out_width;
         let mispredicted = slot.mispredicted;
-        {
-            let slot = &mut self.rob[idx];
-            slot.state = SlotState::Done;
-            slot.wrote_back = true;
-        }
+        slot.state = SlotState::Done;
+        slot.wrote_back = true;
 
             // Writeback accounting: register file, ROB result field,
             // bypass network, and the wakeup tag broadcast. The producing
@@ -1609,6 +1715,7 @@ impl Core {
         let target = target.min(last_commit_cycle + 200_000).max(next);
         if target > next {
             self.account_idle(next, target);
+            self.work.cycles_skipped += target - next;
         }
         target
     }
@@ -1622,7 +1729,7 @@ impl Core {
         let mut t = u64::MAX;
 
         // Commit: only the ROB head matters.
-        if let Some(head) = self.rob.front() {
+        if let Some(head) = self.inflight.rob_front() {
             if head.state == SlotState::Done && head.complete_at <= next {
                 return None;
             }
@@ -1630,7 +1737,7 @@ impl Core {
 
         // Completion events (also cover `Done`-at-dispatch visibility and
         // every in-flight `Issued` slot).
-        if let Some(&Reverse((at, _))) = self.ev_heap.peek() {
+        if let Some(at) = self.ev_wheel.next_at(self.cycle) {
             debug_assert!(at >= next);
             t = t.min(at);
         }
@@ -1640,10 +1747,10 @@ impl Core {
         // and loads blocked on an unexecuted older store (whose own issue
         // or wakeup is covered by the cases above). Anything else might
         // issue next cycle.
-        for &seq in &self.ev_ready {
-            let slot = &self.rob[(seq - self.rob_head_seq) as usize];
+        for seq in self.ev_ready.iter_from(self.inflight.head()) {
+            let slot = self.inflight.get(seq);
             let op = slot.di.inst.op;
-            match op.fu_class() {
+            match slot.fu {
                 FuClass::IntMul if matches!(op, Op::Div | Op::Rem) => {
                     if self.int_div_busy_until <= next {
                         return None;
@@ -1656,7 +1763,7 @@ impl Core {
                     }
                     t = t.min(self.fp_div_busy_until);
                 }
-                FuClass::Mem if op.class() == OpClass::Load => {
+                FuClass::Mem if slot.class == OpClass::Load => {
                     let ea = slot.di.ea.expect("loads have addresses");
                     let size = op.mem_size().expect("loads are sized") as u64;
                     match self.lsq.search_for_load(slot.di.seq, ea, size) {
@@ -1671,23 +1778,21 @@ impl Core {
 
         // Dispatch: a group member maturing is a wake-up; a matured head
         // only dispatches (or takes the §3.1 group stall) when unblocked.
-        if !self.ifq.is_empty() {
-            let group_end = self.cfg.core.decode_width.min(self.ifq.len());
-            for f in self.ifq.iter().take(group_end) {
+        if let Some(front) = self.inflight.ifq(0) {
+            for i in 0..self.cfg.core.decode_width {
+                let Some(f) = self.inflight.ifq(i) else { break };
                 if f.dispatch_ready_at > next {
                     t = t.min(f.dispatch_ready_at);
                     break;
                 }
             }
-            let front = &self.ifq[0];
             if front.dispatch_ready_at <= next {
                 if self.cfg.herding.enabled && self.dispatch_group_would_stall(next) {
                     return None;
                 }
-                let op = front.di.inst.op;
-                let blocked = self.rob.len() >= self.cfg.core.rob_size
-                    || (op.fu_class() != FuClass::None && self.scheduler.is_full())
-                    || match op.class() {
+                let blocked = self.inflight.rob_len() >= self.cfg.core.rob_size
+                    || (front.fu != FuClass::None && self.scheduler.is_full())
+                    || match front.class {
                         OpClass::Load => !self.lsq.lq_has_space(),
                         OpClass::Store => !self.lsq.sq_has_space(),
                         _ => false,
@@ -1706,9 +1811,7 @@ impl Core {
                 t = t.min(self.fetch_resume_at);
             } else {
                 let mut matured = self.ifq_matured;
-                while matured < self.ifq.len()
-                    && self.ifq[matured].dispatch_ready_at <= next
-                {
+                while self.inflight.ifq(matured).is_some_and(|f| f.dispatch_ready_at <= next) {
                     matured += 1;
                 }
                 if matured + self.cfg.core.fetch_width <= self.cfg.core.ifq_size {
@@ -1733,15 +1836,14 @@ impl Core {
             self.stats.rs_occupancy_cycles_per_die[die] += occ as u64 * k;
         }
 
-        if let Some(front) = self.ifq.front() {
+        if let Some(front) = self.inflight.ifq(0) {
             if front.dispatch_ready_at <= from {
-                let op = front.di.inst.op;
-                if self.rob.len() >= self.cfg.core.rob_size {
+                if self.inflight.rob_len() >= self.cfg.core.rob_size {
                     self.stats.rob_full_stalls += k;
-                } else if op.fu_class() != FuClass::None && self.scheduler.is_full() {
+                } else if front.fu != FuClass::None && self.scheduler.is_full() {
                     self.stats.rs_full_stalls += k;
                 } else {
-                    match op.class() {
+                    match front.class {
                         OpClass::Load if !self.lsq.lq_has_space() => {
                             self.stats.lsq_full_stalls += k;
                         }
@@ -1767,17 +1869,16 @@ impl Core {
 
     fn commit(&mut self) {
         for _ in 0..self.cfg.core.commit_width {
-            let Some(head) = self.rob.front() else { break };
+            let Some(head) = self.inflight.rob_front() else { break };
             if head.state != SlotState::Done || head.complete_at > self.cycle {
                 break;
             }
-            let slot = self.rob.pop_front().expect("front checked");
-            self.rob_head_seq = slot.di.seq + 1;
-            let di = slot.di;
+            let (di, class, out_width) = (head.di, head.class, head.out_width);
+            self.inflight.commit();
 
             // ROB result read at retirement (architected-state copy).
             let herding = self.cfg.herding.enabled;
-            match slot.out_width {
+            match out_width {
                 Width::Low => {
                     self.stats.rob_reads_low += 1;
                     if herding {
@@ -1792,7 +1893,7 @@ impl Core {
                 }
             }
 
-            match di.inst.op.class() {
+            match class {
                 OpClass::Load => {
                     self.stats.loads += 1;
                     self.lsq.free_load();
@@ -1802,7 +1903,7 @@ impl Core {
                     self.lsq.commit_store(di.seq);
                     let ea = di.ea.expect("store");
                     let mem = self.hierarchy.data_access(ea, true);
-                    self.record_dcache_access(0, ea, &mem, true);
+                    self.record_dcache_access(&mem);
                     // Stores know their data width at commit (§3.6).
                     match self.classify(di.rs2_val) {
                         Width::Low => {
@@ -2095,6 +2196,45 @@ mod tests {
         let b = run(COUNT_LOOP, SimConfig::baseline());
         assert_eq!(a.stats.cycles, b.stats.cycles);
         assert_eq!(a.stats.committed, b.stats.committed);
+    }
+
+    #[test]
+    fn work_counters_account_for_every_cycle_and_ignore_intervals() {
+        let src = "
+            li   x1, 0x100000
+            li   x2, 0x180000
+        loop:
+            ld   x3, 0(x1)
+            add  x4, x4, x3
+            addi x1, x1, 64
+            bne  x1, x2, loop
+            halt
+        ";
+        let p = parse_asm(src).unwrap();
+        let cfg = SimConfig::baseline();
+        let r = Simulator::new(cfg).run(&p, 1_000_000).unwrap();
+        let w = r.work;
+        let total = w.cycles_stepped + w.cycles_skipped;
+        assert!(total == r.stats.cycles || total == r.stats.cycles + 1, "{w:?} vs {}", r.stats.cycles);
+        assert!(w.cycles_skipped > 0, "memory-bound code should idle: {w:?}");
+        assert!(w.idle_skip_ratio() > 0.0 && w.idle_skip_ratio() < 1.0);
+        assert_eq!(w.committed, r.stats.committed);
+        assert!(w.events >= w.committed, "every committed slot has one event: {w:?}");
+
+        // The scan reference steps every cycle.
+        let scan = Simulator::new(cfg).with_engine(CoreEngine::Scan).run(&p, 1_000_000).unwrap();
+        assert_eq!(scan.work.cycles_skipped, 0);
+        assert_eq!(scan.work.cycles_stepped, total);
+
+        // Chopping the run into intervals leaves the work unchanged.
+        let mut sess = SimSession::new(cfg, &p);
+        while !sess.run_interval(777).unwrap() {}
+        assert_eq!(sess.work(), w);
+
+        // A warmup window shrinks the statistics, not the work.
+        let warm = Simulator::new(cfg).run_with_warmup(&p, 1000, 1_000_000).unwrap();
+        assert_eq!(warm.work, w);
+        assert!(warm.stats.committed < w.committed);
     }
 
     #[test]

@@ -49,6 +49,7 @@ mod branch;
 mod cache;
 mod config;
 mod core;
+mod event;
 mod lsq;
 mod scheduler;
 mod stats;
@@ -60,7 +61,7 @@ mod engine_golden;
 #[cfg(test)]
 mod ledger_consistency;
 
-pub use crate::core::{SimResult, SimSession, Simulator};
+pub use crate::core::{CoreWork, SimResult, SimSession, Simulator};
 pub use branch::{BranchPredictor, BranchUpdate, Btb, BtbOutcome, ReturnStack};
 pub use cache::{Cache, CacheConfig, CacheKind, MemoryHierarchy, Tlb};
 pub use config::{CoreParams, FuLatencies, HerdingConfig, MemConfig, PipelineConfig, SimConfig};

@@ -56,7 +56,7 @@ use th_cosim::{CoSimConfig, PolicyKind};
 use th_stack3d::Unit;
 use th_workloads::{workload_by_name, Workload};
 use thermal_herding::experiments::dtm;
-use thermal_herding::{run_chip, thermal_analysis, Variant};
+use thermal_herding::{run_chip_with_work, thermal_analysis, CoreWork, Variant};
 
 /// One independently runnable unit of sweep work.
 #[derive(Clone, Debug, PartialEq)]
@@ -154,8 +154,8 @@ impl ShardTask {
         match self {
             ShardTask::ChipRun { workload, variant, budget } => {
                 let (w, build_s) = build_workload(workload)?;
-                let (run, sim_s) = timed(|| run_chip(*variant, &w, *budget));
-                let run = run.map_err(|t| format!("pipeline trap: {t:?}"))?;
+                let (run, sim_s) = timed(|| run_chip_with_work(*variant, &w, *budget));
+                let (run, work) = run.map_err(|t| format!("pipeline trap: {t:?}"))?;
                 let table = run.die_table();
                 Ok(ShardPayload {
                     metrics: vec![
@@ -166,13 +166,16 @@ impl ShardTask {
                         ("committed".into(), run.core_stats.committed as f64),
                         ("rf_top_die".into(), table.fractions(Unit::RegFile)[0]),
                     ],
-                    timings: vec![("build_s".into(), build_s), ("sim_s".into(), sim_s)],
+                    timings: with_core_work(
+                        vec![("build_s".into(), build_s), ("sim_s".into(), sim_s)],
+                        &work,
+                    ),
                 })
             }
             ShardTask::ThermalRun { workload, variant, budget, rows } => {
                 let (w, build_s) = build_workload(workload)?;
-                let (run, sim_s) = timed(|| run_chip(*variant, &w, *budget));
-                let run = run.map_err(|t| format!("pipeline trap: {t:?}"))?;
+                let (run, sim_s) = timed(|| run_chip_with_work(*variant, &w, *budget));
+                let (run, work) = run.map_err(|t| format!("pipeline trap: {t:?}"))?;
                 let (analysis, solve_s) = timed(|| thermal_analysis(&run, *rows));
                 let analysis = analysis.map_err(|e| e.to_string())?;
                 Ok(ShardPayload {
@@ -181,12 +184,15 @@ impl ShardTask {
                         ("total_w".into(), run.power.total_w()),
                         ("peak_k".into(), analysis.peak_k()),
                     ],
-                    timings: vec![
-                        ("build_s".into(), build_s),
-                        ("sim_s".into(), sim_s),
-                        ("solve_s".into(), solve_s),
-                        ("solve_sweeps".into(), analysis.map.solve_stats().sweeps as f64),
-                    ],
+                    timings: with_core_work(
+                        vec![
+                            ("build_s".into(), build_s),
+                            ("sim_s".into(), sim_s),
+                            ("solve_s".into(), solve_s),
+                            ("solve_sweeps".into(), analysis.map.solve_stats().sweeps as f64),
+                        ],
+                        &work,
+                    ),
                 })
             }
             ShardTask::CosimRun {
@@ -219,12 +225,15 @@ impl ShardTask {
                         ("ipc".into(), trace.ipc()),
                         ("rf_top_die".into(), trace.rf_top_die()),
                     ],
-                    timings: vec![
-                        ("build_s".into(), build_s),
-                        ("sim_wall_s".into(), trace.report.sim_wall_s),
-                        ("solver_wall_s".into(), trace.report.solver_wall_s),
-                        ("solver_sweeps".into(), trace.report.solver_sweeps as f64),
-                    ],
+                    timings: with_core_work(
+                        vec![
+                            ("build_s".into(), build_s),
+                            ("sim_wall_s".into(), trace.report.sim_wall_s),
+                            ("solver_wall_s".into(), trace.report.solver_wall_s),
+                            ("solver_sweeps".into(), trace.report.solver_sweeps as f64),
+                        ],
+                        &trace.report.sim_work,
+                    ),
                 })
             }
             ShardTask::SelfTest { seed, spin } => {
@@ -242,6 +251,18 @@ impl ShardTask {
             }
         }
     }
+}
+
+/// Appends the core loop's work counters to a shard's timings, so the
+/// `shard_done` telemetry line carries them next to the wall times.
+fn with_core_work(mut timings: Vec<(String, f64)>, work: &CoreWork) -> Vec<(String, f64)> {
+    timings.extend([
+        ("core_committed".into(), work.committed as f64),
+        ("core_cycles_stepped".into(), work.cycles_stepped as f64),
+        ("core_cycles_skipped".into(), work.cycles_skipped as f64),
+        ("core_events".into(), work.events as f64),
+    ]);
+    timings
 }
 
 /// Runs `f`, returning its result and its wall-clock seconds.

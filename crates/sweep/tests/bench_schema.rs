@@ -96,3 +96,16 @@ fn fig10_solve_block_reports_the_sweeps_shape() {
     let sweeps = num(solve, "sweeps");
     assert!(sweeps >= 1.0 && sweeps.fract() == 0.0, "sweeps must be a whole count, got {sweeps}");
 }
+
+#[test]
+fn core_block_reports_both_runs_rates() {
+    let r = report();
+    let core = r.get("core").expect("core block");
+    for run in ["chip", "cosim"] {
+        let block = core.get(run).unwrap_or_else(|| panic!("core.{run} block"));
+        assert!(num(block, "minst_per_s") > 0.0, "core.{run}: no instructions per second");
+        assert!(num(block, "mcycles_per_s") > 0.0, "core.{run}: no cycles per second");
+        let ratio = num(block, "idle_skip_ratio");
+        assert!((0.0..1.0).contains(&ratio), "core.{run}: idle_skip_ratio = {ratio}");
+    }
+}

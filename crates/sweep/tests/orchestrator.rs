@@ -326,3 +326,57 @@ fn fig10_preset_worst_rows_match_the_experiment_driver() {
         assert_eq!(peak_k.to_bits(), w.peak_k().to_bits(), "{label}: peak {peak_k}");
     }
 }
+
+#[test]
+fn core_work_counters_are_logged_and_identical_at_one_and_four_lanes() {
+    let mut spec = mixed_spec();
+    spec.name = "core-work".into();
+    spec.shards.push(ShardSpec {
+        id: "cosim/mpeg2-like/3D".into(),
+        task: ShardTask::CosimRun {
+            workload: "mpeg2-like".into(),
+            variant: Variant::ThreeD,
+            policy: th_cosim::PolicyKind::Dvfs,
+            cap_k: 358.0,
+            rows: 6,
+            interval_s: 0.02,
+            slice_cycles: 5_000,
+            steps: 4,
+        },
+    });
+    let keys = ["core_committed", "core_cycles_stepped", "core_cycles_skipped", "core_events"];
+    let counters = |lanes: usize| -> Vec<Vec<u64>> {
+        let dir = RunDir::new(&format!("core-work-{lanes}"));
+        let outcome =
+            run_sweep(&spec, &dir.0, &fast_opts(), &Pool::new(lanes)).expect("sweep completes");
+        let events = telemetry_events(&dir.0);
+        outcome
+            .records
+            .iter()
+            .map(|r| {
+                let done = events
+                    .iter()
+                    .find(|(e, v)| {
+                        e == "shard_done" && v.get("shard").and_then(Json::as_str) == Some(&r.id)
+                    })
+                    .map(|(_, v)| v)
+                    .expect("a shard_done line per shard");
+                keys.iter()
+                    .map(|&k| {
+                        let v = r.timing(k).unwrap_or_else(|| panic!("{}: no {k}", r.id));
+                        let logged = done.get(k).and_then(Json::as_f64);
+                        assert_eq!(logged.map(f64::to_bits), Some(v.to_bits()), "{}: {k}", r.id);
+                        assert!(v >= 0.0 && v.fract() == 0.0, "{}: {k} = {v}", r.id);
+                        v as u64
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    let one = counters(1);
+    assert_eq!(one, counters(4), "the work counters depend on the lane count");
+    for (shard, c) in spec.shards.iter().zip(&one) {
+        assert!(c[0] > 0 && c[1] > 0, "{}: no work counted: {c:?}", shard.id);
+        assert!(c[3] >= c[0], "{}: fewer completion events than commits: {c:?}", shard.id);
+    }
+}

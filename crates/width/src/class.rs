@@ -64,6 +64,7 @@ impl WidthPolicy {
     /// assert_eq!(WidthPolicy::ZeroUpper.classify((-5i64) as u64), Width::Full);
     /// assert_eq!(WidthPolicy::SignExtended.classify(1 << 20), Width::Full);
     /// ```
+    #[inline]
     pub fn classify(self, value: u64) -> Width {
         let upper = value >> crate::BITS_PER_DIE;
         let low = match self {

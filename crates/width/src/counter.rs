@@ -55,11 +55,13 @@ impl SatCounter {
     }
 
     /// Whether the counter is in its upper half (the "predict set" region).
+    #[inline]
     pub fn is_set(self) -> bool {
         self.value > self.max / 2
     }
 
     /// Increments with saturation.
+    #[inline]
     pub fn inc(&mut self) {
         if self.value < self.max {
             self.value += 1;
@@ -67,6 +69,7 @@ impl SatCounter {
     }
 
     /// Decrements with saturation.
+    #[inline]
     pub fn dec(&mut self) {
         if self.value > 0 {
             self.value -= 1;
@@ -74,6 +77,7 @@ impl SatCounter {
     }
 
     /// Trains toward `set` (increment when true, decrement when false).
+    #[inline]
     pub fn train(&mut self, set: bool) {
         if set {
             self.inc();

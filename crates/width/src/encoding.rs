@@ -38,6 +38,7 @@ impl UpperEncoding {
     /// assert_eq!(UpperEncoding::classify(0x0123_4567_89ab_cdef, 0x1000),
     ///            UpperEncoding::Explicit);
     /// ```
+    #[inline]
     pub fn classify(value: u64, addr: u64) -> UpperEncoding {
         let upper = value & Self::UPPER;
         if upper == 0 {
@@ -65,6 +66,7 @@ impl UpperEncoding {
     }
 
     /// Whether a load with this encoding completes from the top die alone.
+    #[inline]
     pub fn top_die_only(self) -> bool {
         self != UpperEncoding::Explicit
     }
@@ -116,6 +118,7 @@ pub struct EncodingStats {
 
 impl EncodingStats {
     /// Records one observation.
+    #[inline]
     pub fn record(&mut self, enc: UpperEncoding) {
         self.counts[enc.code() as usize] += 1;
     }

@@ -60,16 +60,19 @@ impl WidthMemoFile {
     /// # Panics
     ///
     /// Panics if `entry` is out of range.
+    #[inline]
     pub fn record_write(&mut self, entry: usize, value: u64) {
         self.bits[entry] = self.policy.classify(value);
     }
 
     /// Forces an entry's width (e.g. for FP registers, always full).
+    #[inline]
     pub fn set(&mut self, entry: usize, width: Width) {
         self.bits[entry] = width;
     }
 
     /// The memoized width of `entry`.
+    #[inline]
     pub fn width(&self, entry: usize) -> Width {
         self.bits[entry]
     }

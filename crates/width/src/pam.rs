@@ -65,6 +65,7 @@ impl PartialAddressMemoizer {
         PartialAddressMemoizer::default()
     }
 
+    #[inline]
     fn classify(&mut self, addr: u64) -> PamOutcome {
         let upper_match = self.last_store_upper == Some(addr & Self::UPPER);
         if upper_match {
@@ -77,12 +78,14 @@ impl PartialAddressMemoizer {
 
     /// Classifies a load-address broadcast against the memoized store
     /// address.
+    #[inline]
     pub fn broadcast_load(&mut self, addr: u64) -> PamOutcome {
         self.classify(addr)
     }
 
     /// Classifies a store-address broadcast, then memoizes this store as
     /// the new reference.
+    #[inline]
     pub fn broadcast_store(&mut self, addr: u64) -> PamOutcome {
         let out = self.classify(addr);
         self.record_store(addr);
@@ -91,6 +94,7 @@ impl PartialAddressMemoizer {
 
     /// Updates the memoized "most recent store address" without counting a
     /// broadcast.
+    #[inline]
     pub fn record_store(&mut self, addr: u64) {
         self.last_store_upper = Some(addr & Self::UPPER);
     }

@@ -93,6 +93,7 @@ impl WidthPredictor {
         WidthPredictor { table: vec![SatCounter::weakly_set(); entries], stats: WidthPredictStats::default() }
     }
 
+    #[inline]
     fn index(&self, pc: u64) -> usize {
         // Instructions are 8 bytes apart; drop the offset bits.
         ((pc >> 3) as usize) & (self.table.len() - 1)
@@ -110,6 +111,7 @@ impl WidthPredictor {
 
     /// Predicts the width of the instruction at `pc` without recording
     /// statistics (useful for probing).
+    #[inline]
     pub fn peek(&self, pc: u64) -> Width {
         if self.table[self.index(pc)].is_set() {
             Width::Full
@@ -119,6 +121,7 @@ impl WidthPredictor {
     }
 
     /// Predicts the width of the instruction at `pc`.
+    #[inline]
     pub fn predict(&mut self, pc: u64) -> Width {
         self.stats.predictions += 1;
         self.peek(pc)
@@ -129,6 +132,7 @@ impl WidthPredictor {
     ///
     /// Returns `true` if the (implied) prediction was an *unsafe*
     /// misprediction — the caller charges the pipeline stall.
+    #[inline]
     pub fn update(&mut self, pc: u64, actual: Width) -> bool {
         let idx = self.index(pc);
         let predicted = if self.table[idx].is_set() { Width::Full } else { Width::Low };
@@ -157,6 +161,7 @@ impl WidthPredictor {
     /// correction the paper applies after detecting an unsafe
     /// misprediction ("it corrects the instruction's width prediction to
     /// prevent any further stalls", §3.1).
+    #[inline]
     pub fn force_full(&mut self, pc: u64) {
         let idx = self.index(pc);
         while !self.table[idx].is_set() {
