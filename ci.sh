@@ -46,19 +46,26 @@ done
 # default the first `cargo test` above used.
 TH_THREADS=4 cargo test -q --release
 
-# Perf-regression guards: rerun bench_report at the committed report's
-# own budget and grid in a scratch directory (so the repo's
-# BENCH_pipeline.json is never dirtied), then compare the fig8 sequential
-# sweep and the closed-loop co-simulation smoke against the committed
-# times. Wall-clock on shared CI hosts is noisy, so only a >1.5x slowdown
-# fails; faster is always fine.
+# Perf-regression guards: rerun bench_report three times at the
+# committed report's own budget and grid in scratch directories (so the
+# repo's BENCH_pipeline.json is never dirtied), then compare the fastest
+# fresh fig8 sequential sweep and closed-loop co-simulation smoke with
+# the committed times. Wall-clock on shared CI hosts is noisy (one
+# binary's fig8 time swings by a third within minutes), so the guard
+# reads the minimum of the runs and only a >1.5x slowdown fails; faster
+# is always fine.
 committed=$PWD/BENCH_pipeline.json
 rerun_args=$("$bench_check" rerun-args "$committed")
 guard_dir=$(mktemp -d)
 trap 'rm -rf "$guard_dir"' EXIT
 bench_bin=$PWD/target/release/bench_report
-# shellcheck disable=SC2086 # rerun_args is "<budget> <rows>"
-(cd "$guard_dir" && TH_THREADS=1 "$bench_bin" $rerun_args)
-"$bench_check" guard "$committed" "$guard_dir/BENCH_pipeline.json"
+fresh=()
+for run in 1 2 3; do
+    mkdir "$guard_dir/$run"
+    # shellcheck disable=SC2086 # rerun_args is "<budget> <rows>"
+    (cd "$guard_dir/$run" && TH_THREADS=1 "$bench_bin" $rerun_args)
+    fresh+=("$guard_dir/$run/BENCH_pipeline.json")
+done
+"$bench_check" guard "$committed" "${fresh[@]}"
 
 echo "ci.sh: all checks passed"

@@ -4,7 +4,7 @@ use crate::config::Variant;
 use crate::run::ChipResult;
 use th_power::{DieFractionTable, PowerModel};
 use th_stack3d::{DieStack, Floorplan, Unit};
-use th_thermal::{HeatSink, PowerGrid, SolveOptions, SteadySolver, ThermalMap};
+use th_thermal::{HeatSink, PowerGrid, SteadySolver, ThermalMap};
 
 /// Default lateral grid resolution for the experiments (rows).
 pub const GRID_ROWS: usize = 40;
@@ -136,35 +136,9 @@ pub fn thermal_analysis_scaled(
     for g in &mut grids {
         g.scale(power_scale);
     }
-    let map = solver
-        .solve_steady(&grids, &SolveOptions::default())
-        .map_err(|e| e.to_string())?;
+    let map = solver.solve_steady(&grids).map_err(|e| e.to_string())?;
 
-    // Per-unit peaks: max over cores and dies of the unit's footprint.
-    // The clock network is distributed over the whole die, so it is not a
-    // meaningful hotspot owner and is excluded.
-    let mut unit_peaks = Vec::new();
-    for &unit in Unit::all() {
-        if unit == Unit::Clock {
-            continue;
-        }
-        let mut peak = f64::NEG_INFINITY;
-        for p in floorplan.placements().iter().filter(|p| p.unit == unit) {
-            if let Some(layer) = map.layer_of_power_index(p.die) {
-                let r = p.rect;
-                peak = peak.max(map.max_in_rect(
-                    layer,
-                    r.x * 1e-3,
-                    r.y * 1e-3,
-                    (r.x + r.w) * 1e-3,
-                    (r.y + r.h) * 1e-3,
-                ));
-            }
-        }
-        if peak.is_finite() {
-            unit_peaks.push((unit, peak));
-        }
-    }
+    let unit_peaks = th_cosim::unit_peaks(map.view(), &floorplan);
     Ok(ThermalAnalysis { variant: result.variant, map, floorplan, unit_peaks })
 }
 
@@ -194,7 +168,7 @@ pub fn transient_heatup(
     let mut trace = Vec::with_capacity(steps + 1);
     trace.push((0.0, transient.current_map().max_temp()));
     for _ in 0..steps {
-        transient.step(&grids, dt_s, &SolveOptions::default()).map_err(|e| e.to_string())?;
+        transient.step(&grids, dt_s).map_err(|e| e.to_string())?;
         trace.push((transient.elapsed_s(), transient.current_map().max_temp()));
     }
     Ok(trace)

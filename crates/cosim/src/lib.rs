@@ -49,7 +49,7 @@ use th_power::{DieFractionTable, LeakageModel, PowerConfig, PowerModel};
 use th_sim::{SimConfig, SimSession};
 use th_stack3d::{DieStack, Floorplan, LayerKind, Unit};
 use th_thermal::{
-    HeatSink, Material, ModelLayer, PowerGrid, SolveOptions, StackModel, SteadySolver,
+    HeatSink, MapView, Material, ModelLayer, PowerGrid, StackModel, SteadySolver,
     TransientSolver,
 };
 
@@ -84,6 +84,36 @@ pub fn stack_thermal_model(
         })
         .collect();
     StackModel::new(floorplan.width_mm() * 1e-3, floorplan.height_mm() * 1e-3, layers, sink)
+}
+
+/// Peak temperature inside each unit's footprint (max over cores and
+/// dies) in a field solved on the [`stack_thermal_model`] of
+/// `floorplan`. The clock network covers whole dies and owns no
+/// hotspot, so it is excluded.
+pub fn unit_peaks(view: MapView<'_>, floorplan: &Floorplan) -> Vec<(Unit, f64)> {
+    let mut peaks = Vec::new();
+    for &unit in Unit::all() {
+        if unit == Unit::Clock {
+            continue;
+        }
+        let mut peak = f64::NEG_INFINITY;
+        for p in floorplan.placements().iter().filter(|p| p.unit == unit) {
+            if let Some(layer) = view.layer_of_power_index(p.die) {
+                let r = p.rect;
+                peak = peak.max(view.max_in_rect(
+                    layer,
+                    r.x * 1e-3,
+                    r.y * 1e-3,
+                    (r.x + r.w) * 1e-3,
+                    (r.y + r.h) * 1e-3,
+                ));
+            }
+        }
+        if peak.is_finite() {
+            peaks.push((unit, peak));
+        }
+    }
+    peaks
 }
 
 /// Interval structure of a co-simulation run.
@@ -160,6 +190,8 @@ pub struct CoSimulator<'a> {
     policy: Box<dyn DtmPolicy>,
     cfg: CoSimConfig,
     slots: Vec<PaintSlot>,
+    /// The painted floorplan, for the per-unit peak reads.
+    floorplan: Floorplan,
     dies: usize,
     grid: (usize, usize, f64, f64),
     nominal_ghz: f64,
@@ -240,6 +272,7 @@ impl<'a> CoSimulator<'a> {
             policy,
             cfg,
             slots,
+            floorplan: floorplan.clone(),
             dies,
             grid: (rows, cols, w_m, h_m),
             nominal_ghz,
@@ -249,7 +282,7 @@ impl<'a> CoSimulator<'a> {
             solver_wall_s: 0.0,
             solver_sweeps: 0,
         };
-        cosim.unit_peaks_k = cosim.read_unit_peaks();
+        cosim.unit_peaks_k = unit_peaks(cosim.transient.view(), &cosim.floorplan);
         cosim
     }
 
@@ -257,30 +290,6 @@ impl<'a> CoSimulator<'a> {
     fn clock_network_w(&self) -> f64 {
         self.pcfg.chip_clock_power_2d_w * (self.pcfg.clock_ghz / 2.66)
             * if self.pcfg.three_d { self.pcfg.clock_3d_factor } else { 1.0 }
-    }
-
-    /// Peak temperature inside each unit's footprint (max over cores and
-    /// dies), from the live solver field. Clock excluded: it covers whole
-    /// dies and owns no hotspot.
-    fn read_unit_peaks(&self) -> Vec<(Unit, f64)> {
-        let view = self.transient.view();
-        let mut peaks = Vec::new();
-        for &unit in Unit::all() {
-            if unit == Unit::Clock {
-                continue;
-            }
-            let mut peak = f64::NEG_INFINITY;
-            for s in self.slots.iter().filter(|s| s.unit == unit) {
-                if let Some(layer) = view.layer_of_power_index(s.die) {
-                    let (x0, y0, x1, y1) = s.rect_m;
-                    peak = peak.max(view.max_in_rect(layer, x0, y0, x1, y1));
-                }
-            }
-            if peak.is_finite() {
-                peaks.push((unit, peak));
-            }
-        }
-        peaks
     }
 
     fn unit_temp(&self, unit: Unit) -> f64 {
@@ -375,7 +384,7 @@ impl<'a> CoSimulator<'a> {
         let solve_t0 = Instant::now();
         let stats = self
             .transient
-            .step(&grids, self.cfg.interval_s, &SolveOptions::default())
+            .step(&grids, self.cfg.interval_s)
             .map_err(|e| e.to_string())?;
         self.solver_wall_s += solve_t0.elapsed().as_secs_f64();
         self.solver_sweeps += stats.sweeps;
@@ -388,7 +397,7 @@ impl<'a> CoSimulator<'a> {
                     .map_or(f64::NEG_INFINITY, |layer| view.layer_max(layer))
             })
             .collect();
-        self.unit_peaks_k = self.read_unit_peaks();
+        self.unit_peaks_k = unit_peaks(view, &self.floorplan);
 
         let sample = IntervalSample {
             t_s: self.transient.elapsed_s(),

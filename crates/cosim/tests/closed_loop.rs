@@ -125,11 +125,10 @@ fn dvfs_ladder_throttles_under_a_tight_cap() {
     assert!(tail_peak < cap_k + 3.0, "cap not held: tail peak {tail_peak:.1} K");
 }
 
-/// One closed-loop trace under a registry policy, built inside a job of
-/// `pool` so the solver's nested fan-out follows the pool's path: a
-/// 1-lane pool runs the job inline (nested work goes wide on the global
-/// pool), a multi-lane pool marks the job in-flight (nested work runs
-/// inline). Comparing the two exercises both solver paths.
+/// One closed-loop trace under a registry policy, built inside a
+/// one-item `map` on `pool`. The solver never fans out and a one-item
+/// map runs inline at any lane count, so the trace cannot depend on the
+/// pool; comparing a 1-lane and a 4-lane pool holds it to that.
 fn trace_with_pool(kind: PolicyKind, cap_k: f64, steps: usize, pool: &th_exec::Pool) -> CoSimReport {
     pool.map(&[0], |_| {
         let program = parse_asm(&busy_kernel(100_000)).unwrap();

@@ -1,127 +1,45 @@
 //! # th-exec: the workspace's parallel execution layer.
 //!
-//! A small persistent thread pool (plain `std::thread`, no dependencies)
-//! with *deterministic* fan-out/reduce helpers. Work is claimed from a
-//! shared atomic counter (chunked self-scheduling), but every result is
-//! written to its item's own slot and reduced in item order, so the
-//! output of [`Pool::map`] is **identical for any thread count** — the
-//! experiment drivers rely on this to make parallel runs byte-for-byte
-//! reproducible.
-//!
-//! Two layers:
-//!
-//! * [`Pool::broadcast`] — run one closure on every lane simultaneously
-//!   and wait. The building block of the fan-out helpers.
-//! * [`Pool::map`] / [`Pool::map_indexed`] — dynamic self-scheduled
-//!   fan-out over a work list with in-order collection.
+//! [`Pool::map`] fans a work list out over scoped, self-scheduled lanes
+//! (plain `std::thread`, no dependencies): the caller is lane 0, up to
+//! `threads - 1` scoped workers run beside it, and every lane claims
+//! item indices from one shared atomic counter. Each lane returns its
+//! `(index, result)` pairs and the caller puts them back in item order,
+//! so the output is **identical for any thread count**; the experiment
+//! drivers rely on this to make parallel runs byte-for-byte reproducible.
+//! A [`Pool`] is only a lane count: it owns no threads, and every worker
+//! is joined before `map` returns.
 //!
 //! The global pool ([`pool()`]) is sized by the `TH_THREADS` environment
 //! variable, defaulting to [`std::thread::available_parallelism`].
-//! `TH_THREADS=1` forces fully sequential execution (no worker threads
-//! are spawned at all).
+//! `TH_THREADS=1` spawns no worker threads at all.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
-use std::cell::{Cell, UnsafeCell};
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, OnceLock};
 
 thread_local! {
     /// Set while the current thread is executing a pool job; a nested
-    /// fan-out from inside a job runs inline instead of re-entering the
-    /// pool (the outer fan-out already owns the lanes).
+    /// fan-out from inside a job runs inline instead of spawning more
+    /// lanes (the outer fan-out already owns them).
     static IN_JOB: Cell<bool> = const { Cell::new(false) };
 }
 
-/// RAII guard marking the current thread as inside a pool job.
-struct JobScope;
-
-impl JobScope {
-    fn enter() -> JobScope {
-        IN_JOB.with(|f| f.set(true));
-        JobScope
-    }
-}
-
-impl Drop for JobScope {
-    fn drop(&mut self) {
-        IN_JOB.with(|f| f.set(false));
-    }
-}
-
-/// A lifetime-erased broadcast job. The pointer is only dereferenced
-/// between the epoch publication and the last worker's completion
-/// acknowledgement, both of which happen inside [`Pool::broadcast`]'s
-/// borrow of the real closure.
-#[derive(Clone, Copy)]
-struct Job(*const (dyn Fn(usize) + Sync));
-
-// SAFETY: the pointee is `Sync` (shared invocation is safe) and the
-// pool's completion barrier guarantees it outlives every dereference.
-unsafe impl Send for Job {}
-
-struct State {
-    /// Incremented per broadcast; workers run one job per epoch.
-    epoch: u64,
-    job: Option<Job>,
-    /// Workers still executing the current epoch's job.
-    active: usize,
-    /// A worker lane panicked during the current epoch.
-    panicked: bool,
-    shutdown: bool,
-}
-
-struct Shared {
-    state: Mutex<State>,
-    /// Workers wait here for a new epoch.
-    work_cv: Condvar,
-    /// The caller waits here for `active == 0`.
-    done_cv: Condvar,
-    /// Serialises top-level broadcasts from different threads. All pool
-    /// locks recover from poisoning: a panic unwinding out of
-    /// [`Pool::broadcast`] (deliberately re-raised after the barrier)
-    /// must not wedge subsequent jobs.
-    gate: Mutex<()>,
-}
-
-/// A persistent job pool of `threads` lanes (the calling thread is lane
-/// 0; `threads - 1` workers are spawned).
+/// A fan-out width of `threads` lanes (the calling thread is lane 0).
+#[derive(Debug)]
 pub struct Pool {
-    shared: std::sync::Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
     threads: usize,
 }
 
 impl Pool {
     /// Builds a pool with `threads` lanes (clamped to at least 1).
-    ///
-    /// `threads == 1` spawns nothing and runs everything inline.
+    /// Spawns nothing: workers live only inside one [`Pool::map`] call.
     pub fn new(threads: usize) -> Pool {
-        let threads = threads.max(1);
-        let shared = std::sync::Arc::new(Shared {
-            state: Mutex::new(State {
-                epoch: 0,
-                job: None,
-                active: 0,
-                panicked: false,
-                shutdown: false,
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            gate: Mutex::new(()),
-        });
-        let workers = (1..threads)
-            .map(|lane| {
-                let shared = std::sync::Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("th-exec-{lane}"))
-                    .spawn(move || worker_loop(&shared, lane))
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        Pool { shared, workers, threads }
+        Pool { threads: threads.max(1) }
     }
 
     /// Builds a pool sized by `TH_THREADS` (default: available
@@ -135,59 +53,13 @@ impl Pool {
         self.threads
     }
 
-    /// Runs `f(lane)` once on every lane (0 = the caller) and waits for
-    /// all lanes to finish.
+    /// Applies `f` to every item, in parallel, returning the results in
+    /// **item order** regardless of thread count or scheduling.
     ///
     /// # Panics
     ///
-    /// Re-raises a panic if any lane panicked (after all lanes finished,
-    /// so shared borrows never dangle).
-    pub fn broadcast<F: Fn(usize) + Sync>(&self, f: F) {
-        if self.threads == 1 || IN_JOB.with(|flag| flag.get()) {
-            // Sequential pool, or a nested fan-out from inside a pool
-            // job: the outer fan-out already owns the lanes.
-            f(0);
-            return;
-        }
-        let _gate = self.shared.gate.lock().unwrap_or_else(|e| e.into_inner());
-        let wide: &(dyn Fn(usize) + Sync) = &f;
-        // SAFETY: the job pointer never outlives this call — we publish
-        // it, run our own lane, then block until `active == 0`.
-        let job = Job(unsafe {
-            std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(wide)
-        });
-        {
-            let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            debug_assert_eq!(st.active, 0, "overlapping broadcast");
-            st.epoch += 1;
-            st.job = Some(job);
-            st.active = self.workers.len();
-            st.panicked = false;
-            self.shared.work_cv.notify_all();
-        }
-        // Lane 0 runs on the calling thread.
-        let caller = catch_unwind(AssertUnwindSafe(|| {
-            let _scope = JobScope::enter();
-            f(0)
-        }));
-        // Barrier: every worker must acknowledge before the borrow ends.
-        let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        while st.active > 0 {
-            st = self.shared.done_cv.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-        st.job = None;
-        let worker_panicked = st.panicked;
-        drop(st);
-        if let Err(payload) = caller {
-            resume_unwind(payload);
-        }
-        if worker_panicked {
-            panic!("th-exec worker lane panicked");
-        }
-    }
-
-    /// Applies `f` to every item, in parallel, returning the results in
-    /// **item order** regardless of thread count or scheduling.
+    /// Re-raises the payload of a panicking item once every lane has
+    /// been joined.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -203,92 +75,50 @@ impl Pool {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        if self.threads == 1 || n <= 1 || IN_JOB.with(|flag| flag.get()) {
+        if self.threads == 1 || n <= 1 || IN_JOB.with(Cell::get) {
             // Sequential pool, trivial fan-out, or nested inside a pool
-            // job (which would run inline anyway): skip the slot vector
-            // and the shared claim counter entirely.
+            // job: the outer fan-out already owns the lanes.
             return (0..n).map(f).collect();
         }
-        struct Slots<R>(Vec<UnsafeCell<Option<R>>>);
-        // SAFETY: each slot is written by exactly one claimant (the
-        // atomic counter hands out each index once).
-        unsafe impl<R: Send> Sync for Slots<R> {}
-        let slots = Slots((0..n).map(|_| UnsafeCell::new(None)).collect());
-        let slots_ref = &slots;
         let next = AtomicUsize::new(0);
-        self.broadcast(|_lane| loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            let r = f(i);
-            unsafe { *slots_ref.0[i].get() = Some(r) };
-        });
-        slots
-            .0
-            .into_iter()
-            .map(|c| c.into_inner().expect("every slot claimed and filled"))
-            .collect()
-    }
-}
-
-impl Drop for Pool {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            st.shutdown = true;
-            self.shared.work_cv.notify_all();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for Pool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pool").field("threads", &self.threads).finish()
-    }
-}
-
-fn worker_loop(shared: &Shared, lane: usize) {
-    let mut seen_epoch = 0u64;
-    loop {
-        let job = {
-            let mut st = shared.state.lock().unwrap_or_else(|e| e.into_inner());
+        let lane = || {
+            IN_JOB.with(|flag| flag.set(true));
+            let mut done = Vec::new();
             loop {
-                if st.shutdown {
-                    return;
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    return done;
                 }
-                if st.epoch != seen_epoch {
-                    seen_epoch = st.epoch;
-                    break st.job.expect("job set with epoch");
-                }
-                st = shared.work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+                done.push((i, f(i)));
             }
         };
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let _scope = JobScope::enter();
-            // SAFETY: `broadcast` keeps the closure alive until every
-            // worker decrements `active` below.
-            (unsafe { &*job.0 })(lane)
-        }));
-        let mut st = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        if result.is_err() {
-            st.panicked = true;
+        let lanes = std::thread::scope(|s| {
+            let workers: Vec<_> = (1..self.threads.min(n))
+                .map(|k| {
+                    std::thread::Builder::new()
+                        .name(format!("th-exec-{k}"))
+                        .spawn_scoped(s, lane)
+                        .expect("spawn pool worker")
+                })
+                .collect();
+            let mine = catch_unwind(AssertUnwindSafe(lane));
+            IN_JOB.with(|flag| flag.set(false));
+            let theirs = workers.into_iter().map(|w| w.join());
+            std::iter::once(mine).chain(theirs).collect::<Vec<_>>()
+        });
+        let mut pairs = Vec::with_capacity(n);
+        for lane in lanes {
+            pairs.extend(lane.unwrap_or_else(|payload| resume_unwind(payload)));
         }
-        st.active -= 1;
-        if st.active == 0 {
-            shared.done_cv.notify_all();
-        }
+        pairs.sort_unstable_by_key(|&(i, _)| i);
+        pairs.into_iter().map(|(_, r)| r).collect()
     }
 }
 
 /// Reads and parses an environment knob, warning **once per variable**
-/// on stderr when a value is present but malformed (previously such
-/// values were silently swallowed and the default took over without a
-/// trace). An unset variable is a silent `None`; `parse` returning
-/// `None` marks the value malformed.
+/// on stderr when a value is present but malformed. An unset variable
+/// is a silent `None`; `parse` returning `None` marks the value
+/// malformed.
 ///
 /// `expected` describes the accepted format for the warning message,
 /// e.g. `"a thread count >= 1"`.
@@ -319,11 +149,6 @@ fn knob_warnings() -> &'static Mutex<std::collections::BTreeSet<String>> {
     WARNED.get_or_init(|| Mutex::new(std::collections::BTreeSet::new()))
 }
 
-#[cfg(test)]
-fn knob_warned(name: &str) -> bool {
-    knob_warnings().lock().unwrap_or_else(|e| e.into_inner()).contains(name)
-}
-
 /// Thread count from `TH_THREADS`, defaulting to available parallelism.
 /// Malformed values (unparsable, or zero) warn once and fall back.
 pub fn threads_from_env() -> usize {
@@ -343,6 +168,10 @@ pub fn pool() -> &'static Pool {
 mod tests {
     use super::*;
 
+    fn knob_warned(name: &str) -> bool {
+        knob_warnings().lock().unwrap_or_else(|e| e.into_inner()).contains(name)
+    }
+
     #[test]
     fn map_preserves_order_at_any_thread_count() {
         let items: Vec<u64> = (0..257).collect();
@@ -355,13 +184,36 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_visits_every_lane() {
+    fn four_lanes_run_four_items_at_once() {
+        // Each item waits until all four have started, so the map only
+        // completes with every count at 4 if four lanes ran concurrently.
+        // The deadline makes a pool that serialises items fail, not hang.
         let pool = Pool::new(4);
-        let mask = AtomicUsize::new(0);
-        pool.broadcast(|lane| {
-            mask.fetch_or(1 << lane, Ordering::Relaxed);
+        let started = AtomicUsize::new(0);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        let seen = pool.map_indexed(4, |_| {
+            started.fetch_add(1, Ordering::SeqCst);
+            loop {
+                let now = started.load(Ordering::SeqCst);
+                if now == 4 || std::time::Instant::now() > deadline {
+                    return now;
+                }
+                std::hint::spin_loop();
+            }
         });
-        assert_eq!(mask.load(Ordering::Relaxed), 0b1111);
+        assert_eq!(seen, vec![4; 4]);
+    }
+
+    #[test]
+    fn concurrent_maps_on_one_pool_stay_ordered() {
+        let pool = Pool::new(4);
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| pool.map_indexed(200, |i| i * 3));
+            let b = s.spawn(|| pool.map_indexed(150, |i| i + 7));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, (0..200).map(|i| i * 3).collect::<Vec<_>>());
+        assert_eq!(b, (0..150).map(|i| i + 7).collect::<Vec<_>>());
     }
 
     #[test]
@@ -378,7 +230,11 @@ mod tests {
         let pool = Pool::new(1);
         assert_eq!(pool.threads(), 1);
         let tid = std::thread::current().id();
-        pool.broadcast(|_| assert_eq!(std::thread::current().id(), tid));
+        let got = pool.map_indexed(5, |i| {
+            assert_eq!(std::thread::current().id(), tid);
+            i
+        });
+        assert_eq!(got, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -398,9 +254,24 @@ mod tests {
     }
 
     #[test]
+    fn panic_reraises_the_items_own_payload() {
+        let pool = Pool::new(3);
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            pool.map_indexed(9, |i| {
+                if i == 7 {
+                    panic!("item seven");
+                }
+                i
+            })
+        }))
+        .unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"item seven"));
+    }
+
+    #[test]
     fn nested_fan_out_runs_inline() {
         // A fan-out from inside a pool job must complete inline on the
-        // calling lane (re-entering the pool would deadlock on the gate).
+        // calling lane (the outer fan-out already owns the lanes).
         let pool = Pool::new(4);
         let outer = pool.map_indexed(4, |i| {
             let tid = std::thread::current().id();

@@ -576,10 +576,23 @@ fn raw_pair(k: &str, v: String) -> (String, String) {
 }
 
 /// One attempt of a task, with the unwind boundary and optional
-/// watchdog timeout.
-fn run_attempt(task: &ShardTask, timeout: Option<Duration>) -> Result<ShardPayload, String> {
-    let guarded = |task: &ShardTask| -> Result<ShardPayload, String> {
-        match catch_unwind(AssertUnwindSafe(|| task.execute())) {
+/// watchdog timeout. `injected_panic` (the attempt number, from a
+/// [`FaultMode::Panic`] rule) raises a panic inside the guarded work in
+/// place of the task, so it crosses the same catch and watchdog thread
+/// as a real one.
+fn run_attempt(
+    task: &ShardTask,
+    timeout: Option<Duration>,
+    injected_panic: Option<u32>,
+) -> Result<ShardPayload, String> {
+    let guarded = move |task: &ShardTask| -> Result<ShardPayload, String> {
+        let work = || {
+            if let Some(attempt) = injected_panic {
+                panic!("{FAULT_ENV}: injected panic (attempt {attempt})");
+            }
+            task.execute()
+        };
+        match catch_unwind(AssertUnwindSafe(work)) {
             Ok(r) => r,
             Err(payload) => {
                 let msg = payload
@@ -709,17 +722,8 @@ pub fn run_sweep(
                 Some(FaultMode::Error) => {
                     Err(format!("{FAULT_ENV}: injected failure (attempt {attempt})"))
                 }
-                Some(FaultMode::Panic) => run_attempt(
-                    &ShardTask::SelfTest { seed: u64::MAX, spin: 0 },
-                    // Route through the real unwind boundary so the
-                    // injected panic exercises the same catch as a real
-                    // one.
-                    None,
-                )
-                .and_then(|_| -> Result<ShardPayload, String> {
-                    panic_shard(attempt)
-                }),
-                None => run_attempt(&shard.task, opts.timeout),
+                Some(FaultMode::Panic) => run_attempt(&shard.task, opts.timeout, Some(attempt)),
+                None => run_attempt(&shard.task, opts.timeout, None),
             };
             match outcome {
                 Ok(payload) => {
@@ -837,23 +841,6 @@ pub fn run_sweep(
         raw_pair("degraded", format!("{}", outcome.degraded())),
     ]);
     Ok(outcome)
-}
-
-/// The injected-panic site, kept out of line so the backtrace names it.
-fn panic_shard(attempt: u32) -> Result<ShardPayload, String> {
-    let r = catch_unwind(AssertUnwindSafe(|| -> ShardPayload {
-        panic!("{FAULT_ENV}: injected panic (attempt {attempt})")
-    }));
-    match r {
-        Ok(p) => Ok(p),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_else(|| "injected panic".into());
-            Err(format!("panic at shard boundary: {msg}"))
-        }
-    }
 }
 
 #[cfg(test)]

@@ -231,6 +231,31 @@ fn forced_failures_retry_then_degrade_without_aborting_siblings() {
 }
 
 #[test]
+fn injected_panics_cross_the_watchdog_thread() {
+    // With a timeout every attempt runs on the watchdog's thread, so the
+    // injected panic must unwind there and come back as the attempt's
+    // error, never as a timeout or a lost sibling.
+    let dir = RunDir::new("panic-watchdog");
+    let spec = presets::selftest();
+    let opts = SweepOptions {
+        max_attempts: 2,
+        timeout: Some(Duration::from_secs(60)),
+        fault: FaultPlan::parse("selftest-1:1!,selftest-4:inf!").expect("valid plan"),
+        ..fast_opts()
+    };
+    let outcome = run_sweep(&spec, &dir.0, &opts, &Pool::new(2)).expect("sweep completes");
+    assert_eq!(outcome.done(), spec.shards.len() - 1);
+    let recovered = outcome.record("selftest-1").unwrap();
+    assert_eq!((recovered.status, recovered.attempts), (ShardStatus::Done, 2));
+    let dead = outcome.record("selftest-4").unwrap();
+    assert_eq!((dead.status, dead.attempts), (ShardStatus::Degraded, 2));
+    assert_eq!(
+        dead.error.as_deref(),
+        Some("panic at shard boundary: TH_SWEEP_FAULT: injected panic (attempt 2)")
+    );
+}
+
+#[test]
 fn timed_out_attempts_fail_and_degrade() {
     let dir = RunDir::new("timeout");
     // A shard that spins far longer than the timeout.

@@ -37,7 +37,7 @@ pub use map::{MapView, ThermalMap};
 pub use materials::Material;
 pub use model::{HeatSink, ModelLayer, StackModel};
 pub use power::PowerGrid;
-pub use solve::{SolveError, SolveOptions, SolveStats, SteadySolver, TransientSolver};
+pub use solve::{SolveError, SolveStats, SteadySolver, TransientSolver};
 
 /// Ambient temperature HotSpot uses by default, kelvin (45 °C).
 pub const AMBIENT_K: f64 = 318.15;

@@ -15,8 +15,8 @@
 //! pass cannot change the result. A pass runs inline on the calling
 //! thread: on grids this small, fanning a pass out over a thread pool
 //! costs more than the pass (a fig10-sized solve ran 3–4× slower at two
-//! lanes). Convergence is measured every [`SolveOptions::check_every`]
-//! sweeps rather than every sweep.
+//! lanes). Convergence is measured every 8 sweeps rather than every
+//! sweep.
 //! The transient uses implicit (backward) Euler, which is
 //! unconditionally stable even with the µm-thin d2d layers' tiny time
 //! constants, re-using the same relaxation kernel per step with a `C/dt`
@@ -72,26 +72,16 @@ use crate::model::StackModel;
 use crate::power::PowerGrid;
 use std::fmt;
 
-/// Solver configuration.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SolveOptions {
-    /// Maximum relaxation sweeps.
-    pub max_iters: usize,
-    /// Convergence threshold: maximum per-cell temperature change per
-    /// sweep, kelvin.
-    pub tolerance_k: f64,
-    /// SOR over-relaxation factor (1.0 = Gauss-Seidel).
-    pub omega: f64,
-    /// Convergence is checked every `check_every` sweeps (clamped to at
-    /// least 1): the intermediate sweeps skip per-cell delta tracking.
-    pub check_every: usize,
-}
-
-impl Default for SolveOptions {
-    fn default() -> SolveOptions {
-        SolveOptions { max_iters: 20_000, tolerance_k: 1e-6, omega: 1.85, check_every: 8 }
-    }
-}
+/// Maximum relaxation sweeps per solve or transient step.
+const MAX_ITERS: usize = 20_000;
+/// Convergence threshold: maximum per-cell temperature change per
+/// sweep, kelvin.
+const TOLERANCE_K: f64 = 1e-6;
+/// SOR over-relaxation factor (1.0 = Gauss-Seidel).
+const OMEGA: f64 = 1.85;
+/// Convergence is checked every `CHECK_EVERY` sweeps: the intermediate
+/// sweeps skip per-cell delta tracking.
+const CHECK_EVERY: usize = 8;
 
 /// The work one steady solve or transient step did.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -99,14 +89,14 @@ pub struct SolveStats {
     /// Relaxation sweeps run.
     pub sweeps: usize,
     /// Maximum per-cell change of the last checked sweep, kelvin: below
-    /// [`SolveOptions::tolerance_k`] for a converged solve.
+    /// the 1e-6 K tolerance for a converged solve.
     pub residual_k: f64,
 }
 
 /// Error returned when a solve fails.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SolveError {
-    /// The relaxation did not reach tolerance within `max_iters` sweeps;
+    /// The relaxation did not reach tolerance within 20 000 sweeps;
     /// the payload is the final residual (kelvin).
     NotConverged(f64),
     /// A power grid's shape does not match the solver grid.
@@ -301,9 +291,9 @@ type Split = [Vec<f64>; 2];
 /// edge cells and neighbour offsets of the color-split layout (see the
 /// module docs).
 ///
-/// Solves relax with red-black SOR, and convergence is checked every
-/// [`SolveOptions::check_every`] sweeps (intermediate sweeps skip
-/// residual tracking).
+/// Solves relax with red-black SOR (ω = 1.85) to a 1e-6 K per-sweep
+/// residual, checked every 8 sweeps (intermediate sweeps skip residual
+/// tracking).
 #[derive(Clone, Debug)]
 pub struct SteadySolver {
     model: StackModel,
@@ -491,7 +481,6 @@ impl SteadySolver {
         t: &mut Split,
         spare: &mut Split,
         (b, inv_diag): (&Split, &Split),
-        omega: f64,
         track: bool,
     ) -> f64 {
         let mut max_delta = 0.0f64;
@@ -503,7 +492,7 @@ impl SteadySolver {
                 other: &t[1 - color],
                 b: &b[color],
                 inv_diag: &inv_diag[color],
-                omega,
+                omega: OMEGA,
             }
             .relax();
             std::mem::swap(&mut t[color], &mut spare[color]);
@@ -515,7 +504,7 @@ impl SteadySolver {
     }
 
     /// Relaxes `t` in place until the per-sweep residual drops below
-    /// tolerance, checking every `options.check_every` sweeps. With
+    /// tolerance, checking every `CHECK_EVERY` sweeps. With
     /// `dt_s`, solves one implicit-Euler step from the field `t` holds on
     /// entry.
     fn relax_to_convergence(
@@ -523,9 +512,7 @@ impl SteadySolver {
         t: &mut [f64],
         p: &[f64],
         dt_s: Option<f64>,
-        options: &SolveOptions,
     ) -> Result<SolveStats, SolveError> {
-        let check_every = options.check_every.max(1);
         let (b, inv_diag) = self.assemble_system(p, dt_s.map(|dt| (dt, &*t)));
         let mut field = self.split_zeros();
         self.for_each_cell(|i, color, slot| field[color][slot] = t[i]);
@@ -535,19 +522,19 @@ impl SteadySolver {
         let system = (&b, &inv_diag);
         let mut residual = f64::INFINITY;
         let mut done = 0;
-        while done < options.max_iters {
-            let block = check_every.min(options.max_iters - done);
+        while done < MAX_ITERS {
+            let block = CHECK_EVERY.min(MAX_ITERS - done);
             for _ in 0..block - 1 {
-                self.sweep_red_black(&mut field, &mut spare, system, options.omega, false);
+                self.sweep_red_black(&mut field, &mut spare, system, false);
             }
-            residual = self.sweep_red_black(&mut field, &mut spare, system, options.omega, true);
+            residual = self.sweep_red_black(&mut field, &mut spare, system, true);
             done += block;
-            if residual < options.tolerance_k {
+            if residual < TOLERANCE_K {
                 break;
             }
         }
         self.for_each_cell(|i, color, slot| t[i] = field[color][slot]);
-        if residual < options.tolerance_k {
+        if residual < TOLERANCE_K {
             Ok(SolveStats { sweeps: done, residual_k: residual })
         } else {
             Err(SolveError::NotConverged(residual))
@@ -560,18 +547,14 @@ impl SteadySolver {
     /// # Errors
     ///
     /// [`SolveError`] on power-grid shape mismatch or non-convergence.
-    pub fn solve_steady(
-        &self,
-        power: &[PowerGrid],
-        options: &SolveOptions,
-    ) -> Result<ThermalMap, SolveError> {
+    pub fn solve_steady(&self, power: &[PowerGrid]) -> Result<ThermalMap, SolveError> {
         let p = self.assemble_power(power)?;
         let ambient = self.model.sink().ambient_k;
         let total_power: f64 = p.iter().sum();
         // Warm start at the bulk estimate: ambient plus sink rise.
         let start = ambient + total_power * self.model.sink().resistance_k_per_w;
         let mut t = vec![start; p.len()];
-        let stats = self.relax_to_convergence(&mut t, &p, None, options)?;
+        let stats = self.relax_to_convergence(&mut t, &p, None)?;
         Ok(self.wrap(t).with_solve_stats(stats))
     }
 
@@ -708,8 +691,8 @@ fn relax_run(
 /// Implicit-Euler transient integrator over the same network.
 ///
 /// ```no_run
-/// use th_thermal::{Material, ModelLayer, PowerGrid, SolveOptions, StackModel,
-///                  SteadySolver, TransientSolver};
+/// use th_thermal::{Material, ModelLayer, PowerGrid, StackModel, SteadySolver,
+///                  TransientSolver};
 /// # let model = StackModel::new(0.01, 0.01,
 /// #     vec![ModelLayer::active(2e-6, Material::SILICON, 0)], Default::default());
 /// let solver = SteadySolver::new(model, 16, 16);
@@ -717,7 +700,7 @@ fn relax_run(
 /// let mut power = vec![PowerGrid::new(16, 16, 0.01, 0.01)];
 /// power[0].paint_rect(0.0, 0.0, 0.01, 0.01, 30.0);
 /// for _ in 0..100 {
-///     transient.step(&power, 1e-3, &SolveOptions::default()).unwrap();
+///     transient.step(&power, 1e-3).unwrap();
 /// }
 /// let map = transient.current_map();
 /// ```
@@ -769,14 +752,9 @@ impl TransientSolver {
     ///
     /// [`SolveError`] on shape mismatch or if the inner relaxation fails
     /// to converge.
-    pub fn step(
-        &mut self,
-        power: &[PowerGrid],
-        dt_s: f64,
-        options: &SolveOptions,
-    ) -> Result<SolveStats, SolveError> {
+    pub fn step(&mut self, power: &[PowerGrid], dt_s: f64) -> Result<SolveStats, SolveError> {
         let p = self.solver.assemble_power(power)?;
-        let stats = self.solver.relax_to_convergence(&mut self.t, &p, Some(dt_s), options)?;
+        let stats = self.solver.relax_to_convergence(&mut self.t, &p, Some(dt_s))?;
         self.elapsed_s += dt_s;
         Ok(stats)
     }
@@ -847,7 +825,7 @@ mod tests {
         let r_sink = 0.3;
         let solver = SteadySolver::new(slab_model(r_sink), rows, cols);
         let map = solver
-            .solve_steady(&uniform_power(rows, cols, watts), &SolveOptions::default())
+            .solve_steady(&uniform_power(rows, cols, watts))
             .unwrap();
         let top = map.layer_mean(0);
         let active = map.layer_mean(1);
@@ -870,7 +848,6 @@ mod tests {
         let rows = 6;
         let cols = 6;
         let solver = SteadySolver::new(slab_model(0.25), rows, cols);
-        let opts = SolveOptions::default();
 
         let mut p1 = PowerGrid::new(rows, cols, 0.01, 0.01);
         p1.paint_rect(0.0, 0.0, 0.004, 0.004, 10.0);
@@ -879,9 +856,9 @@ mod tests {
         let mut p12 = p1.clone();
         p12.add(&p2);
 
-        let m1 = solver.solve_steady(&[p1], &opts).unwrap();
-        let m2 = solver.solve_steady(&[p2], &opts).unwrap();
-        let m12 = solver.solve_steady(&[p12], &opts).unwrap();
+        let m1 = solver.solve_steady(&[p1]).unwrap();
+        let m2 = solver.solve_steady(&[p2]).unwrap();
+        let m12 = solver.solve_steady(&[p12]).unwrap();
 
         for i in 0..m12.temps().len() {
             let sum = m1.temps()[i] + m2.temps()[i] - 300.0; // one ambient offset
@@ -902,7 +879,7 @@ mod tests {
         let mut p = PowerGrid::new(rows, cols, 0.01, 0.01);
         // Heat only the centre ninth.
         p.paint_rect(0.0033, 0.0033, 0.0066, 0.0066, 30.0);
-        let map = solver.solve_steady(&[p], &SolveOptions::default()).unwrap();
+        let map = solver.solve_steady(&[p]).unwrap();
         let (l, r, c) = map.argmax();
         assert_eq!(l, 1, "hotspot should be in the active layer");
         assert!((3..6).contains(&r) && (3..6).contains(&c), "hotspot at ({r},{c})");
@@ -912,12 +889,11 @@ mod tests {
     fn grid_refinement_converges() {
         // Peak temperature should change little between 16x16 and 24x24.
         let watts = 40.0;
-        let opts = SolveOptions::default();
         let peak = |n: usize| {
             let solver = SteadySolver::new(slab_model(0.25), n, n);
             let mut p = PowerGrid::new(n, n, 0.01, 0.01);
             p.paint_rect(0.002, 0.002, 0.008, 0.008, watts);
-            solver.solve_steady(&[p], &opts).unwrap().max_temp()
+            solver.solve_steady(&[p]).unwrap().max_temp()
         };
         let t16 = peak(16);
         let t24 = peak(24);
@@ -929,14 +905,13 @@ mod tests {
         let rows = 6;
         let cols = 6;
         let solver = SteadySolver::new(slab_model(0.25), rows, cols);
-        let opts = SolveOptions::default();
         let power = uniform_power(rows, cols, 30.0);
-        let steady = solver.solve_steady(&power, &opts).unwrap();
+        let steady = solver.solve_steady(&power).unwrap();
 
         let mut tr = TransientSolver::from_ambient(solver);
         // Thermal RC of the package is ~ms–s; integrate 5 s.
         for _ in 0..500 {
-            tr.step(&power, 0.01, &opts).unwrap();
+            tr.step(&power, 0.01).unwrap();
         }
         let now = tr.current_map();
         assert!(
@@ -953,12 +928,11 @@ mod tests {
         let rows = 4;
         let cols = 4;
         let solver = SteadySolver::new(slab_model(0.25), rows, cols);
-        let opts = SolveOptions::default();
         let power = uniform_power(rows, cols, 30.0);
         let mut tr = TransientSolver::from_ambient(solver);
         let mut last = tr.current_map().max_temp();
         for _ in 0..20 {
-            tr.step(&power, 0.005, &opts).unwrap();
+            tr.step(&power, 0.005).unwrap();
             let now = tr.current_map().max_temp();
             assert!(now >= last - 1e-9, "temperature dropped: {now} < {last}");
             last = now;
@@ -969,11 +943,11 @@ mod tests {
     fn shape_mismatch_is_reported() {
         let solver = SteadySolver::new(slab_model(0.25), 6, 6);
         let bad = vec![PowerGrid::new(4, 4, 0.01, 0.01)];
-        match solver.solve_steady(&bad, &SolveOptions::default()) {
+        match solver.solve_steady(&bad) {
             Err(SolveError::PowerGridMismatch { .. }) => {}
             other => panic!("expected shape error, got {other:?}"),
         }
-        match solver.solve_steady(&[], &SolveOptions::default()) {
+        match solver.solve_steady(&[]) {
             Err(SolveError::PowerLayerCount { expected: 1, got: 0 }) => {}
             other => panic!("expected count error, got {other:?}"),
         }
@@ -983,7 +957,7 @@ mod tests {
     fn zero_power_stays_at_ambient() {
         let solver = SteadySolver::new(slab_model(0.25), 4, 4);
         let p = vec![PowerGrid::new(4, 4, 0.01, 0.01)];
-        let map = solver.solve_steady(&p, &SolveOptions::default()).unwrap();
+        let map = solver.solve_steady(&p).unwrap();
         for &t in map.temps() {
             assert!((t - 300.0).abs() < 1e-6);
         }

@@ -14,8 +14,7 @@
 
 use proptest::prelude::*;
 use th_thermal::{
-    HeatSink, Material, ModelLayer, PowerGrid, SolveOptions, StackModel, SteadySolver,
-    TransientSolver,
+    HeatSink, Material, ModelLayer, PowerGrid, StackModel, SteadySolver, TransientSolver,
 };
 
 fn random_model(passive_layers: usize, r_sink: f64) -> StackModel {
@@ -41,11 +40,10 @@ fn assert_kernels_agree(
     p: PowerGrid,
 ) -> Result<(), TestCaseError> {
     let layers = model.layers().len();
-    let opts = SolveOptions::default();
     let map_rb =
-        SteadySolver::new(model.clone(), rows, cols).solve_steady(std::slice::from_ref(&p), &opts);
+        SteadySolver::new(model.clone(), rows, cols).solve_steady(std::slice::from_ref(&p));
     let reference = reference::Reference::new(model, rows, cols).lexicographic();
-    let (lex, _) = reference.solve_steady(&[p], &opts);
+    let (lex, _) = reference.solve_steady(&[p]);
     for (i, (a, b)) in map_rb.unwrap().temps().iter().zip(&lex).enumerate() {
         prop_assert!(
             (a - b).abs() < 1e-3,
@@ -112,7 +110,14 @@ proptest! {
 /// column), the convergence oracle: a different sweep order, so a
 /// different path to the same fixed point.
 mod reference {
-    use th_thermal::{PowerGrid, SolveOptions, StackModel};
+    use th_thermal::{PowerGrid, StackModel};
+
+    /// The production solver's settings, copied so the reference does
+    /// not read them from the code it checks.
+    const MAX_ITERS: usize = 20_000;
+    const TOLERANCE_K: f64 = 1e-6;
+    const OMEGA: f64 = 1.85;
+    const CHECK_EVERY: usize = 8;
 
     pub struct Reference {
         model: StackModel,
@@ -202,31 +207,21 @@ mod reference {
         }
 
         /// The steady field and the sweeps it took.
-        pub fn solve_steady(
-            &self,
-            power: &[PowerGrid],
-            options: &SolveOptions,
-        ) -> (Vec<f64>, usize) {
+        pub fn solve_steady(&self, power: &[PowerGrid]) -> (Vec<f64>, usize) {
             let p = self.power(power);
             let ambient = self.model.sink().ambient_k;
             let total_power: f64 = p.iter().sum();
             let start = ambient + total_power * self.model.sink().resistance_k_per_w;
             let mut t = vec![start; p.len()];
-            let sweeps = self.relax_to_convergence(&mut t, &p, None, options);
+            let sweeps = self.relax_to_convergence(&mut t, &p, None);
             (t, sweeps)
         }
 
         /// One implicit-Euler step of `t` in place; returns the sweeps.
-        pub fn step(
-            &self,
-            t: &mut [f64],
-            power: &[PowerGrid],
-            dt_s: f64,
-            options: &SolveOptions,
-        ) -> usize {
+        pub fn step(&self, t: &mut [f64], power: &[PowerGrid], dt_s: f64) -> usize {
             let p = self.power(power);
             let t_old = t.to_vec();
-            self.relax_to_convergence(t, &p, Some((dt_s, &t_old)), options)
+            self.relax_to_convergence(t, &p, Some((dt_s, &t_old)))
         }
 
         fn relax_to_convergence(
@@ -234,19 +229,17 @@ mod reference {
             t: &mut [f64],
             p: &[f64],
             transient: Option<(f64, &[f64])>,
-            options: &SolveOptions,
         ) -> usize {
-            let check_every = options.check_every.max(1);
             let (b, inv_diag) = self.assemble_system(p, transient);
             let mut done = 0;
-            while done < options.max_iters {
-                let block = check_every.min(options.max_iters - done);
+            while done < MAX_ITERS {
+                let block = CHECK_EVERY.min(MAX_ITERS - done);
                 for _ in 0..block - 1 {
-                    self.sweep(t, &b, &inv_diag, options.omega, false);
+                    self.sweep(t, &b, &inv_diag, OMEGA, false);
                 }
-                let residual = self.sweep(t, &b, &inv_diag, options.omega, true);
+                let residual = self.sweep(t, &b, &inv_diag, OMEGA, true);
                 done += block;
-                if residual < options.tolerance_k {
+                if residual < TOLERANCE_K {
                     return done;
                 }
             }
@@ -489,10 +482,9 @@ proptest! {
     ) {
         let model = mixed_model(&kinds, r_sink);
         let power = mixed_power(&model, rows, cols, &watts);
-        let opts = SolveOptions::default();
         let (want, want_sweeps) =
-            reference::Reference::new(model.clone(), rows, cols).solve_steady(&power, &opts);
-        let map = SteadySolver::new(model, rows, cols).solve_steady(&power, &opts).unwrap();
+            reference::Reference::new(model.clone(), rows, cols).solve_steady(&power);
+        let map = SteadySolver::new(model, rows, cols).solve_steady(&power).unwrap();
         assert_bits_eq(map.temps(), &want, &format!("{rows}x{cols} {kinds:?}"))?;
         prop_assert_eq!(map.solve_stats().sweeps, want_sweeps);
     }
@@ -507,13 +499,12 @@ proptest! {
     ) {
         let model = mixed_model(&kinds, 0.25);
         let power = mixed_power(&model, rows, cols, &watts);
-        let opts = SolveOptions::default();
         let reference = reference::Reference::new(model.clone(), rows, cols);
         let mut want = vec![300.0; kinds.len() * rows * cols];
         let mut transient = TransientSolver::from_ambient(SteadySolver::new(model, rows, cols));
         for (step, &dt) in dts.iter().enumerate() {
-            let want_sweeps = reference.step(&mut want, &power, dt, &opts);
-            let stats = transient.step(&power, dt, &opts).unwrap();
+            let want_sweeps = reference.step(&mut want, &power, dt);
+            let stats = transient.step(&power, dt).unwrap();
             assert_bits_eq(transient.temps(), &want, &format!("{rows}x{cols} {kinds:?} step {step}"))?;
             prop_assert_eq!(stats.sweeps, want_sweeps);
         }
@@ -521,17 +512,15 @@ proptest! {
 }
 
 /// A realistic-size stack next to the small random ones: odd-width
-/// rows, three dies between bond layers, and (under `TH_THREADS=4` in
-/// CI) color passes split over four strips of ten-odd lines each.
+/// rows and three dies between bond layers.
 #[test]
 fn color_split_matches_natural_layout_on_a_wide_stack() {
     let (rows, cols) = (40, 37);
     let model = mixed_model(&[0, 2, 1, 2, 1, 2], 0.2);
     let power = mixed_power(&model, rows, cols, &[(15.0, 25.0), (10.0, 5.0)]);
-    let opts = SolveOptions::default();
     let (want, want_sweeps) =
-        reference::Reference::new(model.clone(), rows, cols).solve_steady(&power, &opts);
-    let map = SteadySolver::new(model, rows, cols).solve_steady(&power, &opts).unwrap();
+        reference::Reference::new(model.clone(), rows, cols).solve_steady(&power);
+    let map = SteadySolver::new(model, rows, cols).solve_steady(&power).unwrap();
     assert_bits_eq(map.temps(), &want, "wide stack").unwrap();
     assert_eq!(map.solve_stats().sweeps, want_sweeps);
 }

@@ -2,7 +2,7 @@
 //! solutions and qualitative laws.
 
 use th_thermal::{
-    Material, ModelLayer, PowerGrid, SolveOptions, StackModel, SteadySolver, TransientSolver,
+    Material, ModelLayer, PowerGrid, StackModel, SteadySolver, TransientSolver,
 };
 
 const W: f64 = 0.008;
@@ -32,7 +32,7 @@ fn composite_slab_series_resistance() {
         th_thermal::HeatSink { resistance_k_per_w: r_sink, ambient_k: 300.0 },
     );
     let solver = SteadySolver::new(model, rows, rows);
-    let map = solver.solve_steady(&uniform_power(rows, watts), &SolveOptions::default()).unwrap();
+    let map = solver.solve_steady(&uniform_power(rows, watts)).unwrap();
 
     let area = W * H;
     // Series path between cell centres: ½ copper + full TIM + ½ active
@@ -62,7 +62,7 @@ fn sink_resistance_scaling() {
             th_thermal::HeatSink { resistance_k_per_w: r_sink, ambient_k: 300.0 },
         );
         SteadySolver::new(model, rows, rows)
-            .solve_steady(&uniform_power(rows, 10.0), &SolveOptions::default())
+            .solve_steady(&uniform_power(rows, 10.0))
             .unwrap()
             .max_temp()
     };
@@ -91,7 +91,7 @@ fn lateral_insulation_sharpens_hotspots() {
         let mut g = PowerGrid::new(rows, rows, W, H);
         g.paint_rect(W * 0.4, H * 0.4, W * 0.6, H * 0.6, 15.0); // centre hotspot
         SteadySolver::new(model, rows, rows)
-            .solve_steady(&[g], &SolveOptions::default())
+            .solve_steady(&[g])
             .unwrap()
             .max_temp()
     };
@@ -124,7 +124,7 @@ fn transient_time_constant_magnitude() {
     let solver = SteadySolver::new(model, rows, rows);
     let power = uniform_power(rows, 10.0);
     let steady =
-        solver.solve_steady(&power, &SolveOptions::default()).unwrap().max_temp() - 300.0;
+        solver.solve_steady(&power).unwrap().max_temp() - 300.0;
 
     // Analytic single-RC time constant.
     let c_total = Material::SILICON.heat_capacity * thickness * W * H;
@@ -134,7 +134,7 @@ fn transient_time_constant_magnitude() {
     let mut tr = TransientSolver::from_ambient(solver);
     let steps = 50;
     for _ in 0..steps {
-        tr.step(&power, tau / steps as f64, &SolveOptions::default()).unwrap();
+        tr.step(&power, tau / steps as f64).unwrap();
     }
     let frac = (tr.current_map().max_temp() - 300.0) / steady;
     assert!(
@@ -159,10 +159,10 @@ fn solver_determinism() {
     let mut g = PowerGrid::new(rows, rows, W, H);
     g.paint_rect(0.001, 0.002, 0.005, 0.007, 17.5);
     let a = SteadySolver::new(model.clone(), rows, rows)
-        .solve_steady(&[g.clone()], &SolveOptions::default())
+        .solve_steady(&[g.clone()])
         .unwrap();
     let b = SteadySolver::new(model, rows, rows)
-        .solve_steady(&[g], &SolveOptions::default())
+        .solve_steady(&[g])
         .unwrap();
     assert_eq!(a.temps(), b.temps());
 }
@@ -187,7 +187,7 @@ fn steady_state_energy_balance() {
     let solver = SteadySolver::new(model, rows, rows);
     let mut g = PowerGrid::new(rows, rows, W, H);
     g.paint_rect(0.0, 0.0, W / 2.0, H, watts); // asymmetric injection
-    let map = solver.solve_steady(&[g], &SolveOptions::default()).unwrap();
+    let map = solver.solve_steady(&[g]).unwrap();
 
     // Each top-layer cell drains (T - ambient) / (R_sink × N) watts.
     let n = (rows * rows) as f64;
