@@ -28,14 +28,16 @@ cargo test --release --offline --manifest-path sweepbench/Cargo.toml
 
 bench_check=$PWD/target/release/bench_check
 
-# Digest smoke: one short sweepbench run per BENCHMARK.json workload.
+# Digest smoke: one short sweepbench run per BENCHMARK.json workload,
+# plus one of fig8-sweep: the measured workloads use 5 of the 22 workload
+# images, and fig8-sweep's 110 recorded digests cover all of them.
 # Each shard's metrics are hashed to the exact f64 bits and compared with
 # the digests recorded in sweepbench/expected/, so a change that moves a
-# single bit of a simulated result (a solver kernel, say) fails here.
-# (The list is read into a variable first: a failing substitution in a
-# `for` list would not stop the script.)
+# single bit of a simulated result (a solver kernel, a workload image)
+# fails here. (The list is read into a variable first: a failing
+# substitution in a `for` list would not stop the script.)
 workloads=$("$bench_check" workloads BENCHMARK.json)
-for workload in $workloads; do
+for workload in $workloads fig8-sweep; do
     cargo run --release --offline -q --manifest-path sweepbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 1 --trace 0 2>/dev/null \
         | "$bench_check" verdict "$workload"

@@ -1,7 +1,8 @@
-//! Programmatic assembler with labels, fixups, and data segments.
+//! Programmatic assembler with labels, fixups, and the data image.
 
 use crate::inst::{Inst, Op};
-use crate::program::{DataSegment, Program};
+use crate::mem::Memory;
+use crate::program::Program;
 use crate::reg::Reg;
 use std::collections::HashMap;
 use std::fmt;
@@ -13,6 +14,14 @@ pub enum AsmError {
     UndefinedLabel(String),
     /// The same label was defined twice.
     DuplicateLabel(String),
+    /// The text segment `[entry, text_end)` overlaps the data blocks, so
+    /// the memory image would hold two different bytes at one address.
+    TextOverlapsData {
+        /// Address of the first instruction.
+        entry: u64,
+        /// Address one past the last instruction.
+        text_end: u64,
+    },
 }
 
 impl fmt::Display for AsmError {
@@ -20,6 +29,11 @@ impl fmt::Display for AsmError {
         match self {
             AsmError::UndefinedLabel(l) => write!(f, "undefined label `{l}`"),
             AsmError::DuplicateLabel(l) => write!(f, "duplicate label `{l}`"),
+            AsmError::TextOverlapsData { entry, text_end } => write!(
+                f,
+                "text segment {entry:#x}..{text_end:#x} overlaps the data blocks from {:#x}",
+                Assembler::DEFAULT_DATA_BASE
+            ),
         }
     }
 }
@@ -40,7 +54,9 @@ enum Fixup {
 ///
 /// The builder offers one method per opcode plus the usual pseudo-ops
 /// (`li`, `la`, `mv`, `jmp`, `call`, `ret`). Control transfers name labels;
-/// displacements are resolved by [`Assembler::assemble`].
+/// displacements are resolved by [`Assembler::assemble`]. The `data_*`
+/// methods write straight into the program's memory image, the one place a
+/// [`Program`]'s initialised memory is built.
 ///
 /// ```
 /// use th_isa::{Assembler, Reg};
@@ -61,12 +77,12 @@ pub struct Assembler {
     text: Vec<Inst>,
     labels: HashMap<String, u64>,
     fixups: Vec<Fixup>,
-    data: Vec<DataSegment>,
+    image: Memory,
     data_cursor: u64,
 }
 
 impl Assembler {
-    /// Default base address for auto-placed data segments.
+    /// Default base address for auto-placed data blocks.
     pub const DEFAULT_DATA_BASE: u64 = 0x10_0000;
 
     /// Creates an assembler whose first instruction lands at `entry`.
@@ -76,7 +92,7 @@ impl Assembler {
             text: Vec::new(),
             labels: HashMap::new(),
             fixups: Vec::new(),
-            data: Vec::new(),
+            image: Memory::new(),
             data_cursor: Self::DEFAULT_DATA_BASE,
         }
     }
@@ -102,44 +118,59 @@ impl Assembler {
         self.text.push(inst);
     }
 
-    // ---- data segments -------------------------------------------------
+    // ---- data ----------------------------------------------------------
+
+    /// Defines `name` at the next free data address, reserves `len` bytes
+    /// there (the next block starts 8-byte aligned), and returns the address.
+    fn place(&mut self, name: &str, len: u64) -> u64 {
+        let base = self.data_cursor;
+        self.labels.insert(name.to_string(), base);
+        self.data_cursor = (base + len + 7) & !7;
+        base
+    }
 
     /// Places `bytes` at the next free data address (8-byte aligned),
     /// defines `name` there, and returns the address.
     pub fn data_bytes(&mut self, name: &str, bytes: &[u8]) -> u64 {
-        let base = self.data_cursor;
-        self.labels.insert(name.to_string(), base);
-        self.data.push(DataSegment { base, bytes: bytes.to_vec() });
-        self.data_cursor = (base + bytes.len() as u64 + 7) & !7;
+        let base = self.place(name, bytes.len() as u64);
+        self.image.write_slice(base, bytes);
         base
     }
 
-    /// Places an array of `u64` values in the data segment.
-    pub fn data_u64s(&mut self, name: &str, values: &[u64]) -> u64 {
-        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-        self.data_bytes(name, &bytes)
+    /// Places a stream of `u64` values in the data image. The values are
+    /// written page by page as the iterator yields them, so a generator
+    /// can pass a lazy iterator and never hold the array itself.
+    pub fn data_u64s(&mut self, name: &str, values: impl IntoIterator<Item = u64>) -> u64 {
+        let bytes = values.into_iter().map(u64::to_le_bytes);
+        let len = self.image.write_chunks(self.data_cursor, bytes);
+        self.place(name, len)
     }
 
-    /// Places an array of `f64` values in the data segment.
-    pub fn data_f64s(&mut self, name: &str, values: &[f64]) -> u64 {
-        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-        self.data_bytes(name, &bytes)
+    /// Places a stream of `f64` values in the data image (see
+    /// [`Assembler::data_u64s`]).
+    pub fn data_f64s(&mut self, name: &str, values: impl IntoIterator<Item = f64>) -> u64 {
+        let bytes = values.into_iter().map(f64::to_le_bytes);
+        let len = self.image.write_chunks(self.data_cursor, bytes);
+        self.place(name, len)
     }
 
-    /// Reserves `len` zeroed bytes in the data segment.
+    /// Reserves `len` zeroed bytes in the data image. Untouched memory
+    /// already reads zero, so this allocates no pages.
     pub fn data_zeros(&mut self, name: &str, len: usize) -> u64 {
-        self.data_bytes(name, &vec![0u8; len])
+        self.place(name, len as u64)
     }
 
     // ---- finishing -----------------------------------------------------
 
-    /// Resolves fixups and produces the program.
+    /// Resolves fixups and produces the program, laying the encoded text
+    /// into the image at the entry address.
     ///
     /// # Errors
     ///
     /// Returns [`AsmError::UndefinedLabel`] if any referenced label was
-    /// never defined, or [`AsmError::DuplicateLabel`] for double
-    /// definitions.
+    /// never defined, [`AsmError::DuplicateLabel`] for double
+    /// definitions, or [`AsmError::TextOverlapsData`] if the text would
+    /// land on data.
     pub fn assemble(mut self) -> Result<Program, AsmError> {
         for fixup in &self.fixups {
             match fixup {
@@ -163,7 +194,18 @@ impl Assembler {
                 }
             }
         }
-        Ok(Program { entry: self.entry, text: self.text, data: self.data, labels: self.labels })
+        let text_end = self.entry.saturating_add(self.text.len() as u64 * Inst::SIZE);
+        if self.entry.max(Self::DEFAULT_DATA_BASE) < text_end.min(self.data_cursor) {
+            return Err(AsmError::TextOverlapsData { entry: self.entry, text_end });
+        }
+        let code = self.text.iter().map(|inst| crate::encode(inst).to_le_bytes());
+        self.image.write_chunks(self.entry, code);
+        Ok(Program {
+            entry: self.entry,
+            text: self.text.into(),
+            image: self.image,
+            labels: self.labels,
+        })
     }
 
     // ---- pseudo-instructions --------------------------------------------
@@ -532,15 +574,40 @@ mod tests {
     fn data_segments_are_labelled_and_aligned() {
         let mut a = Assembler::new(0);
         let addr1 = a.data_bytes("a", &[1, 2, 3]);
-        let addr2 = a.data_u64s("b", &[5, 6]);
+        let addr2 = a.data_u64s("b", [5, 6]);
+        let addr3 = a.data_zeros("c", 5);
+        let addr4 = a.data_f64s("d", [1.5]);
         a.halt();
         let p = a.assemble().unwrap();
         assert_eq!(p.label("a"), Some(addr1));
         assert_eq!(p.label("b"), Some(addr2));
+        assert_eq!(p.label("c"), Some(addr3));
+        assert_eq!(p.label("d"), Some(addr4));
         assert_eq!(addr2 % 8, 0);
         assert!(addr2 >= addr1 + 3);
-        let mem = p.build_memory();
-        assert_eq!(mem.read_u64(addr2 + 8), 6);
+        assert_eq!((addr3, addr4), (addr2 + 16, addr2 + 24));
+        assert_eq!(p.image.read_vec(addr1, 3), [1, 2, 3]);
+        assert_eq!(p.image.read_u64(addr2 + 8), 6);
+        assert_eq!(p.image.read_u64(addr3), 0);
+        assert_eq!(f64::from_bits(p.image.read_u64(addr4)), 1.5);
+    }
+
+    #[test]
+    fn text_over_data_is_error() {
+        let build = |entry, insts| {
+            let mut a = Assembler::new(entry);
+            a.data_u64s("d", [1]);
+            (0..insts).for_each(|_| a.nop());
+            a.assemble()
+        };
+        let base = Assembler::DEFAULT_DATA_BASE;
+        assert!(build(base - 8, 1).is_ok(), "text ending where data starts");
+        assert!(build(base + 8, 1).is_ok(), "text starting where data ends");
+        let text_end = base + 8;
+        assert_eq!(
+            build(base - 8, 2).unwrap_err(),
+            AsmError::TextOverlapsData { entry: base - 8, text_end }
+        );
     }
 
     #[test]
@@ -548,7 +615,7 @@ mod tests {
         // Verified via interpreter in interp.rs tests as well; here check
         // the chunk fixups directly.
         let mut a = Assembler::new(0x1000);
-        let addr = a.data_u64s("arr", &[7]);
+        let addr = a.data_u64s("arr", [7]);
         a.la(Reg::X2, "arr");
         a.halt();
         let p = a.assemble().unwrap();

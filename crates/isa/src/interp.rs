@@ -14,6 +14,7 @@ use crate::mem::Memory;
 use crate::program::Program;
 use crate::reg::Reg;
 use std::fmt;
+use std::sync::Arc;
 
 /// A fault raised by the interpreter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,8 +90,8 @@ pub struct RunSummary {
 /// The TH64 functional machine: registers + memory + program counter.
 #[derive(Clone, Debug)]
 pub struct Machine {
-    /// The program's entry and text only: fetch reads nothing else, and
-    /// the data segments already live in `mem`.
+    /// The program's entry and shared text only: fetch reads nothing
+    /// else, and the image is already `mem`.
     code: Program,
     regs: [u64; Reg::COUNT],
     pc: u64,
@@ -102,16 +103,20 @@ pub struct Machine {
 impl Machine {
     /// Creates a machine with the program loaded and `pc` at its entry.
     ///
+    /// Copies no data bytes: the machine shares the program's text and starts
+    /// from a copy-on-write view of its [`Program::image`], so a store
+    /// copies only the page it lands on.
+    ///
     /// The stack pointer convention used by the workloads (`x2`) is *not*
     /// initialised here; workloads set up whatever state they need.
     pub fn new(program: &Program) -> Machine {
         Machine {
-            mem: program.build_memory(),
             code: Program {
                 entry: program.entry,
-                text: program.text.clone(),
+                text: Arc::clone(&program.text),
                 ..Program::default()
             },
+            mem: program.image.clone(),
             regs: [0; Reg::COUNT],
             pc: program.entry,
             halted: false,
@@ -525,6 +530,26 @@ mod tests {
         for (i, r) in records.iter().enumerate() {
             assert_eq!(r.seq, i as u64);
         }
+    }
+
+    #[test]
+    fn stores_stay_in_the_machine_that_made_them() {
+        let mut a = Assembler::new(0x1000);
+        let d = a.data_u64s("d", [1, 2, 3]);
+        a.la(Reg::X10, "d");
+        a.li(Reg::X1, 99);
+        a.sb(Reg::X1, 0, Reg::X10);
+        a.sd(Reg::X1, 16, Reg::X10);
+        a.halt();
+        let p = a.assemble().unwrap();
+        let mut first = Machine::new(&p);
+        first.run(100).unwrap();
+        assert!(first.is_halted());
+        let fresh = Machine::new(&p);
+        let words = |m: &Memory| [0, 8, 16].map(|off| m.read_u64(d + off));
+        assert_eq!(words(first.mem()), [99, 2, 99]);
+        assert_eq!(words(fresh.mem()), [1, 2, 3]);
+        assert_eq!(words(&p.image), [1, 2, 3]);
     }
 
     #[test]

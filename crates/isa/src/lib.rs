@@ -17,7 +17,10 @@
 //!   round trip (property tested).
 //! * [`Assembler`] — a programmatic builder with labels and fixups, plus a
 //!   text assembler ([`parse_asm`]).
-//! * [`Memory`] — a sparse, paged, little-endian memory image.
+//! * [`Memory`] — a sparse, paged, little-endian memory image. Its 4 KiB
+//!   pages are shared copy-on-write: a [`Program`] holds one image, built
+//!   by the [`Assembler`], and every [`Machine`] started from it shares
+//!   the pages until it writes one.
 //! * [`Machine`] — the functional interpreter ("golden model"). The
 //!   out-of-order timing model consumes the [`DynInst`] records it produces.
 //!
@@ -61,5 +64,5 @@ pub use inst::{FuClass, Inst, Op, OpClass};
 pub use interp::{DynInst, Machine, RunSummary, Trap};
 pub use mem::Memory;
 pub use parse::{parse_asm, ParseError};
-pub use program::{DataSegment, Program};
+pub use program::Program;
 pub use reg::Reg;

@@ -1,8 +1,9 @@
-//! Sparse, paged, little-endian memory image.
+//! Sparse, paged, little-endian memory image with copy-on-write pages.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
@@ -42,11 +43,18 @@ impl Hasher for PageHasher {
     }
 }
 
+type Page = [u8; PAGE_SIZE];
+
 /// A sparse 64-bit byte-addressable memory.
 ///
 /// Pages (4 KiB) are allocated on first touch and read as zero before any
 /// write — the usual simulator convention, which also means workloads get
 /// deterministic initial state.
+///
+/// Pages sit behind [`Arc`], so `clone` copies page pointers, not bytes:
+/// a program's image is built once and every machine started from it
+/// shares its pages. A write copies only the page it lands on, and only
+/// while another memory still shares that page (copy on first write).
 ///
 /// ```
 /// use th_isa::Memory;
@@ -58,7 +66,7 @@ impl Hasher for PageHasher {
 /// ```
 #[derive(Clone, Default)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>,
+    pages: HashMap<u64, Arc<Page>, BuildHasherDefault<PageHasher>>,
 }
 
 impl Memory {
@@ -73,12 +81,14 @@ impl Memory {
     }
 
     #[inline]
-    fn page(&self, addr: u64) -> Option<&[u8; PAGE_SIZE]> {
+    fn page(&self, addr: u64) -> Option<&Page> {
         self.pages.get(&(addr >> PAGE_SHIFT)).map(|p| p.as_ref())
     }
 
-    fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE] {
-        self.pages.entry(addr >> PAGE_SHIFT).or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
+    fn page_mut(&mut self, addr: u64) -> &mut Page {
+        Arc::make_mut(
+            self.pages.entry(addr >> PAGE_SHIFT).or_insert_with(|| Arc::new([0u8; PAGE_SIZE])),
+        )
     }
 
     /// Reads one byte.
@@ -155,6 +165,39 @@ impl Memory {
     /// Copies a byte slice into memory at `addr`.
     pub fn write_slice(&mut self, addr: u64, bytes: &[u8]) {
         self.write_bytes(addr, bytes);
+    }
+
+    /// Writes the `N`-byte chunks of `chunks` back to back from `addr` and
+    /// returns the number of bytes written. The chunks are gathered into
+    /// page-sized runs, so a multi-megabyte stream costs one page lookup
+    /// per page rather than one per chunk, and no caller-side buffer of
+    /// the whole stream is needed.
+    pub(crate) fn write_chunks<const N: usize>(
+        &mut self,
+        addr: u64,
+        chunks: impl IntoIterator<Item = [u8; N]>,
+    ) -> u64 {
+        const { assert!(N > 0 && N <= PAGE_SIZE, "a chunk must fit in a page") };
+        let mut chunks = chunks.into_iter();
+        let mut run = [0u8; PAGE_SIZE];
+        let full = PAGE_SIZE / N * N;
+        let mut written = 0u64;
+        loop {
+            let mut len = 0;
+            // `zip` pulls a slot before a chunk, so none is dropped when
+            // the run fills up.
+            for (slot, chunk) in run[..full].chunks_exact_mut(N).zip(chunks.by_ref()) {
+                slot.copy_from_slice(&chunk);
+                len += N;
+            }
+            if len > 0 {
+                self.write_bytes(addr.wrapping_add(written), &run[..len]);
+                written += len as u64;
+            }
+            if len < full {
+                return written;
+            }
+        }
     }
 
     /// Reads `len` bytes starting at `addr` into a fresh vector.
@@ -240,7 +283,91 @@ mod tests {
         assert_eq!(m.page_count(), 5);
     }
 
+    #[test]
+    fn clone_shares_pages_until_written() {
+        let mut a = Memory::new();
+        a.write_u64(0, 1);
+        a.write_u64(PAGE_SIZE as u64, 2);
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.pages[&0], &b.pages[&0]));
+        b.write_u8(3, 0xff);
+        assert!(!Arc::ptr_eq(&a.pages[&0], &b.pages[&0]), "the written page is copied");
+        assert!(Arc::ptr_eq(&a.pages[&1], &b.pages[&1]), "the other page stays shared");
+        assert_eq!((a.read_u64(0), b.read_u64(0)), (1, 0xff00_0001));
+    }
+
+    #[test]
+    fn chunks_fill_pages_across_boundaries() {
+        // Three-byte chunks do not divide a page, and the start straddles one.
+        let base = 2 * PAGE_SIZE as u64 - 5;
+        let chunks: Vec<[u8; 3]> = (0..3000u32).map(|i| [i as u8, (i >> 8) as u8, 7]).collect();
+        let mut streamed = Memory::new();
+        assert_eq!(streamed.write_chunks(base, chunks.iter().copied()), 9000);
+        let flat: Vec<u8> = chunks.concat();
+        assert_eq!(streamed.read_vec(base - 1, flat.len() + 2), [&[0][..], &flat, &[0]].concat());
+        assert_eq!(streamed.write_chunks(base, std::iter::empty::<[u8; 8]>()), 0);
+        assert_eq!(streamed.page_count(), 4);
+    }
+
+    /// `(size, addr, value)`: a `u8`/`u16`/`u32`/`u64` write into the
+    /// first pages, half of them within eight bytes of a page edge so
+    /// wide writes straddle it.
+    fn sized_write() -> impl Strategy<Value = (u32, u64, u64)> {
+        (0u32..4, 0u64..4, any::<bool>(), 0u64..PAGE_SIZE as u64, any::<u64>()).prop_map(
+            |(size, page, near_edge, off, value)| {
+                let off = if near_edge { PAGE_SIZE as u64 - 8 + off % 8 } else { off };
+                (size, page * PAGE_SIZE as u64 + off, value)
+            },
+        )
+    }
+
+    fn apply(m: &mut Memory, reference: &mut HashMap<u64, u8>, write: (u32, u64, u64)) {
+        let (size, addr, value) = write;
+        match size {
+            0 => m.write_u8(addr, value as u8),
+            1 => m.write_u16(addr, value as u16),
+            2 => m.write_u32(addr, value as u32),
+            _ => m.write_u64(addr, value),
+        }
+        for (i, &b) in value.to_le_bytes()[..1 << size].iter().enumerate() {
+            reference.insert(addr + i as u64, b);
+        }
+    }
+
+    fn reads_like(m: &Memory, reference: &HashMap<u64, u8>) -> Result<(), TestCaseError> {
+        for addr in 0..5 * PAGE_SIZE as u64 {
+            prop_assert_eq!(m.read_u8(addr), reference.get(&addr).copied().unwrap_or(0));
+        }
+        Ok(())
+    }
+
     proptest! {
+        #[test]
+        fn writes_to_a_clone_never_show_in_the_original(
+            before in proptest::collection::vec(sized_write(), 0..24),
+            after in proptest::collection::vec(sized_write(), 1..24),
+        ) {
+            let (mut original, mut original_ref) = (Memory::new(), HashMap::new());
+            for &w in &before {
+                apply(&mut original, &mut original_ref, w);
+            }
+            let (mut copy, mut copy_ref) = (original.clone(), original_ref.clone());
+            for &w in &after {
+                apply(&mut copy, &mut copy_ref, w);
+            }
+            reads_like(&original, &original_ref)?;
+            reads_like(&copy, &copy_ref)?;
+            for &(_, addr, _) in &after {
+                let wide = |r: &HashMap<u64, u8>| {
+                    (0..8).fold(0u64, |v, i| {
+                        v | u64::from(r.get(&(addr + i)).copied().unwrap_or(0)) << (8 * i)
+                    })
+                };
+                prop_assert_eq!(copy.read_u64(addr), wide(&copy_ref));
+                prop_assert_eq!(original.read_u64(addr), wide(&original_ref));
+            }
+        }
+
         #[test]
         fn u64_roundtrip(addr in any::<u64>(), value in any::<u64>()) {
             // Avoid wrapping past the end of the address space mid-value.

@@ -170,7 +170,7 @@ fn parse_directive(a: &mut Assembler, lineno: usize, directive: &str) -> Result<
                         .ok_or_else(|| err(lineno, format!("bad value `{}`", v.trim())))
                 })
                 .collect();
-            a.data_u64s(label.trim(), &vals?);
+            a.data_u64s(label.trim(), vals?);
             Ok(())
         }
         "zeros" => {

@@ -3,29 +3,26 @@
 use crate::inst::Inst;
 use crate::mem::Memory;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// A block of initialised data placed in memory before execution.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DataSegment {
-    /// Base address of the segment.
-    pub base: u64,
-    /// Raw little-endian bytes.
-    pub bytes: Vec<u8>,
-}
-
-/// An assembled TH64 program: a text segment, initialised data segments, and
-/// the label map produced by the assembler.
+/// An assembled TH64 program: a text segment, the initialised memory image,
+/// and the label map produced by the assembler.
 ///
 /// Programs are the unit of work handed to both the functional interpreter
-/// ([`crate::Machine`]) and the cycle-level simulator in `th-sim`.
+/// ([`crate::Machine`]) and the cycle-level simulator in `th-sim`. Cloning a
+/// program, or starting a machine from it, shares the text and the image's
+/// pages rather than copying them.
 #[derive(Clone, Debug, Default)]
 pub struct Program {
     /// Address of the first instruction.
     pub entry: u64,
     /// Instructions, contiguous from [`Program::entry`].
-    pub text: Vec<Inst>,
-    /// Initialised data segments.
-    pub data: Vec<DataSegment>,
+    pub text: Arc<[Inst]>,
+    /// Initialised memory: the encoded text (so indirect reads of code
+    /// behave sensibly) and every data block the assembler placed. Every
+    /// machine started from the program begins with a copy-on-write view
+    /// of this image.
+    pub image: Memory,
     /// Label name → address (text labels and data labels).
     pub labels: HashMap<String, u64>,
 }
@@ -50,19 +47,6 @@ impl Program {
         self.labels.get(name).copied()
     }
 
-    /// Builds a fresh memory image with all data segments (and the encoded
-    /// text, so indirect reads of code behave sensibly) loaded.
-    pub fn build_memory(&self) -> Memory {
-        let mut mem = Memory::new();
-        for (i, inst) in self.text.iter().enumerate() {
-            mem.write_u64(self.entry + i as u64 * Inst::SIZE, crate::encode(inst));
-        }
-        for seg in &self.data {
-            mem.write_slice(seg.base, &seg.bytes);
-        }
-        mem
-    }
-
     /// Static instruction count.
     pub fn len(&self) -> usize {
         self.text.len()
@@ -77,20 +61,18 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::{Inst, Op};
+    use crate::asm::Assembler;
+    use crate::inst::Op;
     use crate::reg::Reg;
 
     fn sample() -> Program {
-        Program {
-            entry: 0x1000,
-            text: vec![
-                Inst::rri(Op::Addi, Reg::X1, Reg::X0, 1),
-                Inst::rri(Op::Addi, Reg::X2, Reg::X0, 2),
-                Inst::halt(),
-            ],
-            data: vec![DataSegment { base: 0x8000, bytes: vec![9, 8, 7] }],
-            labels: [("start".to_string(), 0x1000u64)].into_iter().collect(),
-        }
+        let mut a = Assembler::new(0x1000);
+        a.label("start");
+        a.addi(Reg::X1, Reg::X0, 1);
+        a.addi(Reg::X2, Reg::X0, 2);
+        a.halt();
+        a.data_bytes("d", &[9, 8, 7]);
+        a.assemble().unwrap()
     }
 
     #[test]
@@ -107,10 +89,10 @@ mod tests {
     #[test]
     fn memory_image_contains_text_and_data() {
         let p = sample();
-        let mem = p.build_memory();
-        assert_eq!(crate::decode(mem.read_u64(0x1000)).unwrap(), p.text[0]);
-        assert_eq!(mem.read_u8(0x8000), 9);
-        assert_eq!(mem.read_u8(0x8002), 7);
+        let d = p.label("d").unwrap();
+        assert_eq!(crate::decode(p.image.read_u64(0x1000)).unwrap(), p.text[0]);
+        assert_eq!(p.image.read_u8(d), 9);
+        assert_eq!(p.image.read_u8(d + 2), 7);
     }
 
     #[test]

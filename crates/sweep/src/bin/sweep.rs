@@ -6,7 +6,7 @@
 //!   <preset>            fig8 | fig9 | fig10 | dtm | dtm-smoke | selftest
 //!   --dir <path>        run directory (default: sweeps/<preset>)
 //!   --budget <insts>    per-core instruction budget (default: 60000)
-//!   --rows <n>          fig10 thermal grid resolution (default: 16)
+//!   --rows <n>          fig10 thermal grid resolution, at least 1 (default: 16)
 //!   --attempts <n>      attempts per shard before degrading (default: 3)
 //!   --timeout-s <secs>  per-attempt wall-clock limit (default: none)
 //!   --quiet             suppress per-shard progress on stderr
@@ -56,7 +56,7 @@ fn main() -> ExitCode {
                 _ => return usage(),
             },
             "--rows" => match value("--rows").map(str::parse) {
-                Ok(Ok(v)) => rows = v,
+                Ok(Ok(v)) if v >= 1 => rows = v,
                 _ => return usage(),
             },
             "--attempts" => match value("--attempts").map(str::parse) {

@@ -32,6 +32,11 @@
 //! <dir>/shards/<id>.json one durable checkpoint per completed shard
 //! ```
 //!
+//! Each `shard_done` line carries the shard's `wall_s`; the closing
+//! `sweep_done` line carries the whole sweep's `wall_s` (set-up, resume
+//! scan and checkpoint I/O included) and the pool's `lanes`, so the time
+//! spent outside shards can be read from the telemetry alone.
+//!
 //! Shard **metrics** are deterministic simulation outputs; wall-clock
 //! numbers live in separate telemetry fields, so a resumed sweep's
 //! merged metrics are bit-identical to an uninterrupted run's at any
@@ -642,6 +647,7 @@ pub fn run_sweep(
     pool: &th_exec::Pool,
 ) -> io::Result<SweepOutcome> {
     assert!(opts.max_attempts >= 1, "at least one attempt");
+    let t_sweep = Instant::now();
     {
         let mut seen = std::collections::BTreeSet::new();
         for s in &spec.shards {
@@ -839,6 +845,8 @@ pub fn run_sweep(
         str_pair("event", "sweep_done"),
         raw_pair("done", format!("{}", outcome.done())),
         raw_pair("degraded", format!("{}", outcome.degraded())),
+        raw_pair("wall_s", json::num(t_sweep.elapsed().as_secs_f64())),
+        raw_pair("lanes", format!("{}", pool.threads())),
     ]);
     Ok(outcome)
 }

@@ -309,6 +309,26 @@ fn telemetry_lines_all_parse_and_bracket_the_run() {
 }
 
 #[test]
+fn sweep_done_line_carries_the_sweep_wall_time_and_lanes() {
+    let dir = RunDir::new("sweep-done");
+    let pool = Pool::new(2);
+    run_sweep(&presets::selftest(), &dir.0, &fast_opts(), &pool).expect("sweep completes");
+    let events = telemetry_events(&dir.0);
+    let (event, done) = events.last().expect("telemetry written");
+    assert_eq!(event, "sweep_done");
+    assert_eq!(done.get("lanes").and_then(Json::as_f64), Some(pool.threads() as f64));
+    assert_eq!(pool.threads(), 2);
+    let wall_s = done.get("wall_s").and_then(Json::as_f64).expect("numeric wall_s");
+    let slowest_shard = events
+        .iter()
+        .filter(|(e, _)| e == "shard_done")
+        .map(|(_, v)| v.get("wall_s").and_then(Json::as_f64).expect("shard wall_s"))
+        .fold(0.0, f64::max);
+    assert!(slowest_shard > 0.0, "shards report their wall time");
+    assert!(wall_s >= slowest_shard, "sweep wall_s {wall_s} < shard wall_s {slowest_shard}");
+}
+
+#[test]
 fn thermal_shard_done_line_carries_its_phase_timings() {
     let dir = RunDir::new("phase-timings");
     let spec = SweepSpec {

@@ -64,3 +64,23 @@ fn fault_injected_selftest_degrades_then_resumes() {
     assert_eq!(shard_status(&dir, "selftest-5"), "done", "the degraded shard was not recomputed");
     assert_eq!(telemetry_events(&dir, "shard_start"), started + 1, "finished shards reran");
 }
+
+#[test]
+fn zero_rows_is_a_usage_error_before_any_run() {
+    let dir = std::env::temp_dir().join(format!("th-sweep-cli-rows-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+        .args(["fig10", "--rows", "0", "--budget", "2000", "--attempts", "1", "--quiet", "--dir"])
+        .arg(&dir)
+        .env_remove(FAULT_ENV)
+        .output()
+        .expect("sweep starts");
+    let created = dir.exists();
+    let _ = fs::remove_dir_all(&dir);
+    assert!(!out.status.success(), "`--rows 0` exited {:?}", out.status);
+    assert!(!created, "a run directory was created");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("usage: sweep"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "stdout: {}", String::from_utf8_lossy(&out.stdout));
+}

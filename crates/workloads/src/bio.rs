@@ -21,7 +21,7 @@ pub(crate) fn hmmer_like() -> Workload {
     let emit: Vec<u64> =
         (0..states * 4).map(|_| rng.gen_range(-8i64..12) as u64).collect();
     let seq: Vec<u8> = (0..seqlen).map(|_| rng.gen::<u8>() % 4).collect();
-    a.data_u64s("emit", &emit);
+    a.data_u64s("emit", emit);
     a.data_bytes("seq", &seq);
     a.data_zeros("vprev", states * 8);
     a.data_zeros("vcurr", states * 8);

@@ -70,9 +70,9 @@ pub(crate) fn patricia_like() -> Workload {
         trie[i * 2] = 0;
         trie[i * 2 + 1] = if rng.gen_bool(0.3) { rng.gen_range(1..256) } else { 0 };
     }
-    a.data_u64s("trie", &trie);
+    a.data_u64s("trie", trie);
     let queries: Vec<u64> = (0..4_000).map(|_| rng.gen()).collect();
-    a.data_u64s("queries", &queries);
+    a.data_u64s("queries", queries.iter().copied());
 
     a.la(Reg::X5, "trie");
     a.li(Reg::X26, 0); // matched-depth accumulator
@@ -121,8 +121,8 @@ pub(crate) fn dijkstra_like() -> Workload {
         (0..n * n).map(|_| if rng.gen_bool(0.25) { rng.gen_range(1..100) } else { 10_000 }).collect();
     let mut dist = vec![10_000u64; n];
     dist[0] = 0;
-    a.data_u64s("adj", &adj);
-    a.data_u64s("dist", &dist);
+    a.data_u64s("adj", adj);
+    a.data_u64s("dist", dist);
 
     a.li(Reg::X20, 8); // relaxation rounds
     a.label("round");

@@ -26,8 +26,8 @@ pub(crate) fn gsm_like() -> Workload {
         .iter()
         .map(|&c: &i64| c as u64)
         .collect();
-    a.data_u64s("samples", &samples);
-    a.data_u64s("coeffs", &coeffs);
+    a.data_u64s("samples", samples);
+    a.data_u64s("coeffs", coeffs);
     a.data_zeros("filtered", n * 8);
 
     a.la(Reg::X5, "samples");
@@ -237,8 +237,8 @@ pub(crate) fn jpeg_like() -> Workload {
     let n = 8_000usize;
     let coeffs: Vec<u64> = (0..n).map(|_| (rng.gen::<i16>() / 8) as i64 as u64).collect();
     let qtable: Vec<u64> = (0..64).map(|i| 8 + (i as u64 * 3) % 24).collect();
-    a.data_u64s("coeffs", &coeffs);
-    a.data_u64s("qtable", &qtable);
+    a.data_u64s("coeffs", coeffs);
+    a.data_u64s("qtable", qtable);
     a.data_zeros("quant", n * 8);
 
     a.li(Reg::X29, 3); // quality levels

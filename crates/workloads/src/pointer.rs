@@ -25,7 +25,7 @@ pub(crate) fn perimeter_like() -> Workload {
         let j = rng.gen_range(0..i);
         next.swap(i, j);
     }
-    a.data_u64s("tree", &next);
+    a.data_u64s("tree", next);
 
     a.la(Reg::X5, "tree");
     a.li(Reg::X6, 28_000); // boundary cells visited
@@ -72,10 +72,11 @@ pub(crate) fn yacr2_like() -> Workload {
     let n = 512 * 1024usize; // 4 MB of packed constraint records
     // Mixed widths on purpose: alternating cache lines hold small values
     // and full 64-bit packed records (the kernel reads one record per
-    // line), so width prediction sees an unstable stream.
-    let tracks: Vec<u64> =
-        (0..n).map(|i| if (i / 8) % 2 == 0 { rng.gen::<u64>() % 256 } else { rng.gen() }).collect();
-    a.data_u64s("tracks", &tracks);
+    // line), so width prediction sees an unstable stream. The records
+    // stream into the image as they are drawn.
+    let tracks =
+        (0..n).map(|i| if (i / 8) % 2 == 0 { rng.gen::<u64>() % 256 } else { rng.gen() });
+    a.data_u64s("tracks", tracks);
 
     a.la(Reg::X5, "tracks");
     a.li(Reg::X6, 40_000); // records scanned (within one pass)
@@ -131,7 +132,7 @@ pub(crate) fn treeadd_like() -> Workload {
         heap[slot * 3 + 1] = if r < n as u64 { addr_of(r) } else { 0 };
         heap[slot * 3 + 2] = node % 97;
     }
-    a.data_u64s("heap", &heap);
+    a.data_u64s("heap", heap);
     a.data_zeros("stack", 64 * 1024);
 
     a.la(Reg::X5, "heap"); // == DEFAULT_DATA_BASE
@@ -183,7 +184,7 @@ pub(crate) fn bisort_like() -> Workload {
     let mut rng = StdRng::seed_from_u64(0x62_69_73);
     let n = 8_192usize;
     let keys: Vec<u64> = (0..n).map(|_| rng.gen::<u64>() >> 16).collect();
-    a.data_u64s("keys", &keys);
+    a.data_u64s("keys", keys);
 
     a.li(Reg::X20, 6); // passes
     a.label("pass");

@@ -14,8 +14,7 @@ pub(crate) fn swim_like() -> Workload {
     let mut a = Assembler::new(0x1000);
     let mut rng = StdRng::seed_from_u64(0x73_77_69);
     let n = 256 * 1024usize; // 2 MB
-    let field: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
-    a.data_f64s("field", &field);
+    a.data_f64s("field", (0..n).map(|_| rng.gen_range(0.0..1.0)));
     a.data_zeros("out", n * 8);
 
     a.la(Reg::X5, "field");
@@ -63,8 +62,8 @@ pub(crate) fn art_like() -> Workload {
     let weights: Vec<f64> =
         (0..neurons * inputs).map(|_| rng.gen_range(-1.0..1.0)).collect();
     let input: Vec<f64> = (0..inputs).map(|_| rng.gen_range(0.0..1.0)).collect();
-    a.data_f64s("weights", &weights);
-    a.data_f64s("input", &input);
+    a.data_f64s("weights", weights);
+    a.data_f64s("input", input);
     a.data_zeros("activations", neurons * 8);
 
     a.li(Reg::X20, 5); // epochs
@@ -121,12 +120,9 @@ pub(crate) fn equake_like() -> Workload {
     let mut rng = StdRng::seed_from_u64(0x65_71_75);
     let nnz = 16_000usize;
     let ncols = 128 * 1024usize; // 1 MB vector
-    let cols: Vec<u64> = (0..nnz).map(|_| rng.gen_range(0..ncols as u64)).collect();
-    let vals: Vec<f64> = (0..nnz).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    let vec: Vec<f64> = (0..ncols).map(|_| rng.gen_range(0.0..1.0)).collect();
-    a.data_u64s("cols", &cols);
-    a.data_f64s("vals", &vals);
-    a.data_f64s("vec", &vec);
+    a.data_u64s("cols", (0..nnz).map(|_| rng.gen_range(0..ncols as u64)));
+    a.data_f64s("vals", (0..nnz).map(|_| rng.gen_range(-1.0..1.0)));
+    a.data_f64s("vec", (0..ncols).map(|_| rng.gen_range(0.0..1.0)));
 
     a.li(Reg::X29, 3); // solver iterations
     a.fmvdx(Reg::F4, Reg::X0);

@@ -16,9 +16,9 @@ pub(crate) fn parser_like() -> Workload {
     let table: Vec<u64> = (0..table_entries)
         .map(|i| if rng.gen_bool(0.6) { ((i as u64) << 16) | 1 } else { 0 })
         .collect();
-    a.data_u64s("dict", &table);
+    a.data_u64s("dict", table);
     let words: Vec<u64> = (0..8_192).map(|_| rng.gen::<u64>() & 0x7ff).collect();
-    a.data_u64s("words", &words);
+    a.data_u64s("words", words.iter().copied());
 
     a.li(Reg::X29, 3); // sentence batches
     a.li(Reg::X26, 0); // found-word count
@@ -108,7 +108,7 @@ pub(crate) fn gcc_like() -> Workload {
     let n = 8_000usize;
     let ir: Vec<u64> =
         (0..n).map(|_| ((rng.gen::<u64>() % 4) << 32) | (rng.gen::<u64>() % 1000)).collect();
-    a.data_u64s("ir", &ir);
+    a.data_u64s("ir", ir);
     a.data_zeros("symtab", 1024 * 8);
 
     a.li(Reg::X29, 2); // compiler passes over the IR
@@ -170,14 +170,20 @@ pub(crate) fn mcf_like() -> Workload {
     let mut a = Assembler::new(0x1000);
     let mut rng = StdRng::seed_from_u64(0x6d_63_66);
     // A single-cycle random permutation (Sattolo's algorithm) so the
-    // chase visits distinct cache lines for the full run.
+    // chase visits distinct cache lines for the full run. It is shuffled
+    // in page-sized blocks that the image consumes in order, each freed
+    // once written, so the 16 MB array never exists twice.
     let n = 1 << 21; // 2M entries × 8 B = 16 MB
-    let mut next: Vec<u64> = (0..n as u64).collect();
+    const BLOCK: usize = 512; // one 4 KiB page of entries
+    let mut next: Vec<Vec<u64>> =
+        (0..n / BLOCK).map(|b| (b * BLOCK..(b + 1) * BLOCK).map(|v| v as u64).collect()).collect();
     for i in (1..n).rev() {
         let j = rng.gen_range(0..i);
-        next.swap(i, j);
+        let t = next[i / BLOCK][i % BLOCK];
+        next[i / BLOCK][i % BLOCK] = next[j / BLOCK][j % BLOCK];
+        next[j / BLOCK][j % BLOCK] = t;
     }
-    a.data_u64s("net", &next);
+    a.data_u64s("net", next.into_iter().flatten());
 
     a.la(Reg::X5, "net");
     a.li(Reg::X6, 10_000); // chase steps
@@ -209,7 +215,7 @@ pub(crate) fn crafty_like() -> Workload {
     let mut a = Assembler::new(0x1000);
     let mut rng = StdRng::seed_from_u64(0x63_72_61);
     let masks: Vec<u64> = (0..256).map(|_| rng.gen()).collect();
-    a.data_u64s("masks", &masks);
+    a.data_u64s("masks", masks);
 
     a.la(Reg::X5, "masks");
     a.li(Reg::X6, 10_000); // positions evaluated
