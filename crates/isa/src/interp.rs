@@ -125,11 +125,13 @@ impl Machine {
     }
 
     /// Current program counter.
+    #[inline]
     pub fn pc(&self) -> u64 {
         self.pc
     }
 
     /// Whether `halt` has been executed.
+    #[inline]
     pub fn is_halted(&self) -> bool {
         self.halted
     }
@@ -140,6 +142,7 @@ impl Machine {
     }
 
     /// Reads an architectural register (`x0` always reads zero).
+    #[inline]
     pub fn reg(&self, r: Reg) -> u64 {
         if r.is_zero() {
             0
@@ -149,6 +152,7 @@ impl Machine {
     }
 
     /// Writes an architectural register (writes to `x0` are ignored).
+    #[inline]
     pub fn set_reg(&mut self, r: Reg, value: u64) {
         if !r.is_zero() {
             self.regs[r.index()] = value;
@@ -171,6 +175,7 @@ impl Machine {
     ///
     /// [`Trap::Halted`] if `halt` was already executed; [`Trap::IllegalPc`]
     /// if `pc` is outside the text segment.
+    #[inline]
     pub fn step(&mut self) -> Result<DynInst, Trap> {
         if self.halted {
             return Err(Trap::Halted);
@@ -198,6 +203,7 @@ impl Machine {
         Ok(RunSummary { instructions: n, halted: self.halted })
     }
 
+    #[inline]
     fn execute(&mut self, pc: u64, inst: Inst) -> DynInst {
         use Op::*;
         let rs1 = self.reg(inst.rs1);

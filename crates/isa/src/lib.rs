@@ -48,6 +48,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod asm;
 mod encode;

@@ -30,6 +30,7 @@ pub struct Program {
 impl Program {
     /// Fetches the instruction at `pc`, or `None` if `pc` is outside the
     /// text segment or misaligned.
+    #[inline]
     pub fn fetch(&self, pc: u64) -> Option<&Inst> {
         if pc < self.entry || !(pc - self.entry).is_multiple_of(Inst::SIZE) {
             return None;

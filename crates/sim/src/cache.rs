@@ -44,6 +44,12 @@ pub struct Cache {
     line_shift: u32,
     /// `log2(line_bytes * sets)`: an address's tag is `addr >> tag_shift`.
     tag_shift: u32,
+    /// The line the last access hit or filled, and its line number: a
+    /// repeat access to the same line (the next fetch group, the next
+    /// word of a stream, the same page in a TLB) finds it without
+    /// scanning the set. Only `access` moves lines, and it updates both.
+    mru: usize,
+    mru_line: u64,
 }
 
 impl Cache {
@@ -66,6 +72,8 @@ impl Cache {
             tick: 0,
             line_shift,
             tag_shift,
+            mru: 0,
+            mru_line: 0,
         }
     }
 
@@ -99,23 +107,44 @@ impl Cache {
     /// Accesses `addr`; on a miss, fills the line (evicting LRU).
     ///
     /// Returns `(hit, evicted_dirty_line_addr)`.
+    #[inline]
     pub fn access(&mut self, addr: u64, write: bool) -> (bool, Option<u64>) {
         self.tick += 1;
+        let line = addr >> self.line_shift;
+        // A valid line is unique in its set, so the MRU line is the one
+        // `access_set` would find (`valid` covers the empty cache).
+        let mru = &mut self.lines[self.mru];
+        if self.mru_line == line && mru.valid {
+            mru.lru = self.tick;
+            mru.dirty |= write;
+            return (true, None);
+        }
+        self.mru_line = line;
+        self.access_set(addr, write)
+    }
+
+    /// The rest of [`Cache::access`] for a line other than the MRU one:
+    /// scan its set, and on a miss fill the LRU way.
+    #[inline(never)]
+    fn access_set(&mut self, addr: u64, write: bool) -> (bool, Option<u64>) {
         let set = self.set_of(addr);
         let base = set * self.cfg.ways;
         let tag = self.tag_of(addr);
-        for l in &mut self.lines[base..base + self.cfg.ways] {
+        for (way, l) in self.lines[base..base + self.cfg.ways].iter_mut().enumerate() {
             if l.valid && l.tag == tag {
                 l.lru = self.tick;
                 l.dirty |= write;
+                self.mru = base + way;
                 return (true, None);
             }
         }
         // Miss: pick victim (prefer invalid, else LRU).
-        let victim = self.lines[base..base + self.cfg.ways]
+        let (way, victim) = self.lines[base..base + self.cfg.ways]
             .iter_mut()
-            .min_by_key(|l| if l.valid { l.lru + 1 } else { 0 })
+            .enumerate()
+            .min_by_key(|(_, l)| if l.valid { l.lru + 1 } else { 0 })
             .expect("ways > 0");
+        self.mru = base + way;
         let evicted = if victim.valid && victim.dirty {
             Some((victim.tag << self.tag_shift) | ((set as u64) << self.line_shift))
         } else {
@@ -148,6 +177,7 @@ impl Tlb {
     }
 
     /// Translates `addr`; returns whether it hit.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.cache.access(addr, false).0
     }
@@ -231,6 +261,7 @@ impl MemoryHierarchy {
     }
 
     /// Instruction fetch at `addr`.
+    #[inline]
     pub fn fetch(&mut self, addr: u64) -> AccessResult {
         let tlb_hit = self.itlb.access(addr);
         let mut cycles = if tlb_hit { 0 } else { self.tlb_miss_penalty };
@@ -252,6 +283,7 @@ impl MemoryHierarchy {
     }
 
     /// Data access at `addr` (`write` = store).
+    #[inline]
     pub fn data_access(&mut self, addr: u64, write: bool) -> AccessResult {
         let tlb_hit = self.dtlb.access(addr);
         let mut cycles = if tlb_hit { 0 } else { self.tlb_miss_penalty };
@@ -305,6 +337,64 @@ mod tests {
             prop_assert_eq!(c.tag_of(addr), tag);
             let line_addr = (tag * sets as u64 + set as u64) * line_bytes;
             prop_assert_eq!((tag << c.tag_shift) | ((set as u64) << c.line_shift), line_addr);
+        }
+
+        /// The most-recently-used shortcut against a reference that scans
+        /// the set on every access: the same hits, evictions and final
+        /// line state for streams that revisit lines (runs of the same
+        /// line, set conflicts, dirty evictions) in small caches.
+        #[test]
+        fn mru_shortcut_matches_a_full_scan(
+            set_bits in 0u32..3,
+            ways in 1usize..4,
+            line_bits in 0u32..4,
+            stream in proptest::collection::vec((0u64..48, any::<bool>(), 1usize..4), 1..300),
+        ) {
+            let cfg = CacheConfig { sets: 1 << set_bits, ways, line_bytes: 1 << line_bits, latency: 1 };
+            let mut cache = Cache::new(cfg);
+            let mut reference = ScanCache { lines: vec![Line::default(); cfg.sets * ways], tick: 0 };
+            for (line, write, repeat) in stream {
+                for offset in 0..repeat as u64 {
+                    let addr = (line << line_bits) | (offset & (cfg.line_bytes - 1));
+                    prop_assert_eq!(cache.access(addr, write), reference.access(&cache, addr, write));
+                }
+            }
+            for (got, want) in cache.lines.iter().zip(&reference.lines) {
+                prop_assert_eq!(
+                    (got.valid, got.dirty, got.tag, got.lru),
+                    (want.valid, want.dirty, want.tag, want.lru)
+                );
+            }
+        }
+    }
+
+    /// `Cache::access` without the MRU shortcut, indexing with the
+    /// geometry of the cache under test.
+    struct ScanCache {
+        lines: Vec<Line>,
+        tick: u64,
+    }
+
+    impl ScanCache {
+        fn access(&mut self, geometry: &Cache, addr: u64, write: bool) -> (bool, Option<u64>) {
+            self.tick += 1;
+            let set = geometry.set_of(addr);
+            let base = set * geometry.cfg.ways;
+            let tag = geometry.tag_of(addr);
+            let lines = &mut self.lines[base..base + geometry.cfg.ways];
+            if let Some(l) = lines.iter_mut().find(|l| l.valid && l.tag == tag) {
+                l.lru = self.tick;
+                l.dirty |= write;
+                return (true, None);
+            }
+            let victim = lines
+                .iter_mut()
+                .min_by_key(|l| if l.valid { l.lru + 1 } else { 0 })
+                .expect("ways > 0");
+            let evicted = (victim.valid && victim.dirty)
+                .then(|| (victim.tag << geometry.tag_shift) | ((set as u64) << geometry.line_shift));
+            *victim = Line { valid: true, dirty: write, tag, lru: self.tick };
+            (false, evicted)
         }
     }
 

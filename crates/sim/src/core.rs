@@ -22,7 +22,7 @@ use crate::event::{BitRing, CompletionWheel, InFlight};
 use crate::lsq::{LoadSearch, Lsq};
 use crate::scheduler::{AllocPolicy, Scheduler};
 use crate::stats::SimStats;
-use th_isa::{DynInst, FuClass, Inst, Machine, Op, OpClass, Program, Trap};
+use th_isa::{DynInst, FuClass, Machine, Op, OpClass, Program, Reg, Trap};
 use th_stack3d::Unit;
 use th_width::{
     PartialAddressMemoizer, UpperEncoding, Width, WidthMemoFile, WidthPredictor,
@@ -99,34 +99,52 @@ enum SlotState {
     Done,
 }
 
-/// One in-flight instruction. Fetch writes the front-end fields (`di`
-/// through `rf_charged`); dispatch fills in the rest where the entry
-/// sits, so until then they hold a previous occupant's values.
+/// One in-flight instruction, in one 64-byte cache line. Fetch writes
+/// the front-end fields (`pc` through `load_enc`) from the interpreter's
+/// record, decoding every value width the later stages read, so the
+/// values themselves are not kept; dispatch fills in the rest where the
+/// entry sits, so until then they hold a previous occupant's values.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
-    di: DynInst,
-    /// `di.inst.op.class()` and `.fu_class()`, looked up once at fetch.
-    class: OpClass,
-    fu: FuClass,
+    pc: u64,
+    /// Effective address of a load or store (0 for other ops).
+    ea: u64,
     /// Cycle the instruction clears the front-end pipe.
     dispatch_ready_at: u64,
+    op: Op,
+    rd: Reg,
+    rs1: Reg,
+    rs2: Reg,
+    /// `op.class()` and `.fu_class()`, looked up once at fetch.
+    class: OpClass,
+    fu: FuClass,
     /// Branch whose direction/target was mispredicted at fetch.
     mispredicted: bool,
     /// The one-per-group register-read width stall has been applied.
     rf_charged: bool,
+    /// Width of the width-predicted operands ([`Core::operand_width`]),
+    /// read by the §3.1 group-stall probe and dispatch.
+    in_width: Width,
+    /// Width of the produced value ([`Core::result_width`]).
+    out_width: Width,
+    /// Widths of the `rs1` and `rs2` values, which dispatch checks the
+    /// register memoization bits against.
+    src_width: [Width; 2],
+    /// A load's upper-bit encoding (§3.6) of the loaded value.
+    load_enc: UpperEncoding,
     state: SlotState,
-    rs_die: Option<usize>,
+    /// Die of the slot's reservation-station entry (one of four).
+    rs_die: Option<u8>,
     /// Producers of the two sources, read by the scan reference's issue.
     #[cfg(test)]
     src_seq: [Option<u64>; 2],
     complete_at: u64,
     pred_width: Width,
-    in_width: Width,
-    out_width: Width,
     unsafe_in: bool,
     unsafe_out: bool,
-    /// Set once writeback statistics have been recorded.
-    wrote_back: bool,
+    /// Store-queue position: a store's number, or for a load the number
+    /// of stores allocated before it (see [`Lsq::sq_mark`]).
+    sq_mark: u64,
     /// Number of unresolved source operands.
     deps: u8,
     /// The completion event has fired, so the result is visible to
@@ -134,41 +152,47 @@ struct Slot {
     visible: bool,
 }
 
+// Production slots fill exactly one cache line (test builds add the
+// scan reference's `src_seq`).
+#[cfg(not(test))]
+const _: () = assert!(std::mem::size_of::<Slot>() == 64);
+
 impl Slot {
     /// The in-flight ring's initial contents.
     fn filler() -> Slot {
-        let di = DynInst {
-            seq: 0,
-            pc: 0,
-            inst: Inst::nop(),
-            next_pc: 0,
-            rs1_val: 0,
-            rs2_val: 0,
-            rd_val: 0,
-            ea: None,
-            taken: false,
-        };
         Slot {
-            di,
+            pc: 0,
+            ea: 0,
+            dispatch_ready_at: 0,
+            op: Op::Nop,
+            rd: Reg::X0,
+            rs1: Reg::X0,
+            rs2: Reg::X0,
             class: OpClass::Misc,
             fu: FuClass::None,
-            dispatch_ready_at: 0,
             mispredicted: false,
             rf_charged: false,
+            in_width: Width::Full,
+            out_width: Width::Full,
+            src_width: [Width::Full; 2],
+            load_enc: UpperEncoding::Explicit,
             state: SlotState::Waiting,
             rs_die: None,
             #[cfg(test)]
             src_seq: [None, None],
             complete_at: u64::MAX,
             pred_width: Width::Full,
-            in_width: Width::Full,
-            out_width: Width::Full,
             unsafe_in: false,
             unsafe_out: false,
-            wrote_back: false,
+            sq_mark: 0,
             deps: 0,
             visible: false,
         }
+    }
+
+    /// The architectural register the instruction writes, if any.
+    fn dest(&self) -> Option<Reg> {
+        (self.op.writes_rd() && !self.rd.is_zero()).then_some(self.rd)
     }
 }
 
@@ -752,13 +776,26 @@ impl Core {
             self.stats.activity.record_full(Unit::Decode);
             let (mispredicted, taken, extra_bubbles) = self.predict_control(&di);
             bubbles += extra_bubbles;
+            let src_width = [self.classify(di.rs1_val), self.classify(di.rs2_val)];
+            let in_width = Self::operand_width(&di, src_width);
+            let out_width = self.result_width(&di);
+            let ea = di.ea.unwrap_or(0);
             let slot = self.inflight.push(di.seq);
-            slot.di = di;
+            slot.pc = di.pc;
+            slot.ea = ea;
+            slot.dispatch_ready_at = self.cycle + self.cfg.pipeline.frontend_depth;
+            slot.op = di.inst.op;
+            slot.rd = di.inst.rd;
+            slot.rs1 = di.inst.rs1;
+            slot.rs2 = di.inst.rs2;
             slot.class = di.inst.op.class();
             slot.fu = di.inst.op.fu_class();
-            slot.dispatch_ready_at = self.cycle + self.cfg.pipeline.frontend_depth;
             slot.mispredicted = mispredicted;
             slot.rf_charged = false;
+            slot.in_width = in_width;
+            slot.out_width = out_width;
+            slot.src_width = src_width;
+            slot.load_enc = UpperEncoding::classify(di.rd_val, ea);
             if mispredicted {
                 self.redirect_pending = Some(di.seq);
                 break;
@@ -932,12 +969,12 @@ impl Core {
             if f.dispatch_ready_at > cycle {
                 break;
             }
-            if !f.rf_charged && Self::width_predicted(f.di.inst.op, f.class) {
-                let pred = self.width_pred.peek(f.di.pc);
-                let in_width = self.operand_width(&f.di);
-                if pred == Width::Low && in_width == Width::Full {
-                    return true;
-                }
+            if f.in_width == Width::Full
+                && !f.rf_charged
+                && Self::width_predicted(f.op, f.class)
+                && self.width_pred.peek(f.pc) == Width::Low
+            {
+                return true;
             }
         }
         false
@@ -978,7 +1015,7 @@ impl Core {
             if front.dispatch_ready_at > self.cycle {
                 break;
             }
-            let (op, class) = (front.di.inst.op, front.class);
+            let (op, class) = (front.op, front.class);
             // Structural hazards.
             if self.inflight.rob_len() >= self.cfg.core.rob_size {
                 self.stats.rob_full_stalls += 1;
@@ -1005,7 +1042,8 @@ impl Core {
             let seq = self.inflight.dispatch();
             debug_assert!(self.ifq_matured > 0, "dispatched an unmatured IFQ entry");
             self.ifq_matured -= 1;
-            let di = self.inflight.get(seq).di;
+            let front = *self.inflight.get(seq);
+            let Slot { pc, ea, in_width, out_width, .. } = front;
             self.stats.dispatched += 1;
             self.stats.rename_ops += 1;
             self.stats.activity.record_full(Unit::Rename);
@@ -1013,10 +1051,10 @@ impl Core {
             // Rename: resolve producers, claim the destination.
             let mut src_seq = [None, None];
             let srcs = [
-                (di.inst.op.reads_rs1(), di.inst.rs1, di.rs1_val),
-                (di.inst.op.reads_rs2(), di.inst.rs2, di.rs2_val),
+                (op.reads_rs1(), front.rs1, front.src_width[0]),
+                (op.reads_rs2(), front.rs2, front.src_width[1]),
             ];
-            for (i, (reads, reg, val)) in srcs.into_iter().enumerate() {
+            for (i, (reads, reg, width)) in srcs.into_iter().enumerate() {
                 if reads && !reg.is_zero() {
                     src_seq[i] = self.rename[reg.index()];
                     // Register-file read accounting (integer side only):
@@ -1025,8 +1063,7 @@ impl Core {
                     if !reg.is_fp() {
                         let memo_width = self.width_memo.width(reg.index());
                         debug_assert_eq!(
-                            memo_width,
-                            self.classify(val),
+                            memo_width, width,
                             "memo bit out of sync with architectural value"
                         );
                         match memo_width {
@@ -1048,25 +1085,20 @@ impl Core {
                     }
                 }
             }
-            if let Some(rd) = di.inst.dest() {
-                self.rename[rd.index()] = Some(di.seq);
-                // Program-order memoization-bit update (§3.1): FP values
-                // are always full-width.
-                if rd.is_fp() {
-                    self.width_memo.set(rd.index(), Width::Full);
-                } else {
-                    self.width_memo.record_write(rd.index(), di.rd_val);
-                }
+            if let Some(rd) = front.dest() {
+                self.rename[rd.index()] = Some(seq);
+                // Program-order memoization-bit update (§3.1): the
+                // written value's width, which for FP values is always
+                // full.
+                self.width_memo.set(rd.index(), out_width);
             }
 
             // Width prediction (§3).
             let mut pred_width = Width::Full;
             let mut unsafe_in = false;
             let mut unsafe_out = false;
-            let in_width = self.operand_width(&di);
-            let out_width = self.result_width(&di);
             if herding && Self::width_predicted(op, class) {
-                pred_width = self.width_pred.predict(di.pc);
+                pred_width = self.width_pred.predict(pc);
                 let actual =
                     if in_width == Width::Full || out_width == Width::Full { Width::Full } else { Width::Low };
                 unsafe_in = pred_width == Width::Low && in_width == Width::Full;
@@ -1076,10 +1108,10 @@ impl Core {
                 unsafe_out = pred_width == Width::Low
                     && out_width == Width::Full
                     && matches!(class, OpClass::IntAlu | OpClass::IntMul);
-                self.width_pred.update(di.pc, actual);
+                self.width_pred.update(pc, actual);
                 if unsafe_in || unsafe_out {
                     // §3.1: correct the prediction to stop repeat stalls.
-                    self.width_pred.force_full(di.pc);
+                    self.width_pred.force_full(pc);
                 }
             }
 
@@ -1091,19 +1123,20 @@ impl Core {
                 // (the wakeup broadcast is the other half): two
                 // die-touches, landed on the allocation die.
                 self.stats.activity.add_full_on(Unit::Scheduler, die, 2);
-                Some(die)
+                Some(die as u8)
             } else {
                 None
             };
-            match class {
-                OpClass::Load => self.lsq.alloc_load(),
-                OpClass::Store => self.lsq.alloc_store(
-                    di.seq,
-                    di.ea.expect("stores have addresses"),
-                    op.mem_size().expect("stores are sized") as u64,
-                ),
-                _ => {}
-            }
+            let sq_mark = match class {
+                OpClass::Load => {
+                    self.lsq.alloc_load();
+                    self.lsq.sq_mark()
+                }
+                OpClass::Store => {
+                    self.lsq.alloc_store(ea, op.mem_size().expect("stores are sized") as u64)
+                }
+                _ => 0,
+            };
 
             let complete_at = if needs_rs { u64::MAX } else { self.cycle + 1 };
             let slot = self.inflight.get_mut(seq);
@@ -1115,11 +1148,9 @@ impl Core {
             }
             slot.complete_at = complete_at;
             slot.pred_width = pred_width;
-            slot.in_width = in_width;
-            slot.out_width = out_width;
             slot.unsafe_in = unsafe_in;
             slot.unsafe_out = unsafe_out;
-            slot.wrote_back = !needs_rs;
+            slot.sq_mark = sq_mark;
             slot.deps = 0;
             slot.visible = false;
 
@@ -1157,31 +1188,29 @@ impl Core {
     /// prediction, which covers the memory **data** (§3.6). Loads
     /// therefore have no width-predicted input operand; a store's
     /// predicted operand is its data register.
-    fn operand_width(&self, di: &DynInst) -> Width {
-        match di.inst.op.class() {
+    /// `src_width` holds the widths of the `rs1` and `rs2` values.
+    fn operand_width(di: &DynInst, src_width: [Width; 2]) -> Width {
+        let op = di.inst.op;
+        match op.class() {
             OpClass::Load => Width::Low,
             OpClass::Store => {
                 if di.inst.rs2.is_fp() {
                     Width::Full
                 } else {
-                    self.classify(di.rs2_val)
+                    src_width[1]
                 }
             }
             _ => {
-                let mut w = Width::Low;
-                if di.inst.op.reads_rs1()
-                    && !di.inst.rs1.is_fp()
-                    && self.classify(di.rs1_val) == Width::Full
+                let full = |reads: bool, reg: Reg, width: Width| {
+                    reads && !reg.is_fp() && width == Width::Full
+                };
+                if full(op.reads_rs1(), di.inst.rs1, src_width[0])
+                    || full(op.reads_rs2(), di.inst.rs2, src_width[1])
                 {
-                    w = Width::Full;
+                    Width::Full
+                } else {
+                    Width::Low
                 }
-                if di.inst.op.reads_rs2()
-                    && !di.inst.rs2.is_fp()
-                    && self.classify(di.rs2_val) == Width::Full
-                {
-                    w = Width::Full;
-                }
-                w
             }
         }
     }
@@ -1300,7 +1329,7 @@ impl Core {
         let cycle = self.cycle;
 
         let slot = self.inflight.get(seq);
-        let (op, class, fu) = (slot.di.inst.op, slot.class, slot.fu);
+        let (op, class, fu, ea) = (slot.op, slot.class, slot.fu, slot.ea);
         {
             // Functional-unit availability.
             let fu_ok = match fu {
@@ -1329,9 +1358,8 @@ impl Core {
         // Memory ordering for loads.
         let mut load_plan: Option<(u64, bool)> = None; // (complete_at, forwarded)
         if class == OpClass::Load {
-            let ea = self.inflight.get(seq).di.ea.expect("loads have addresses");
             let size = op.mem_size().unwrap() as u64;
-            match self.lsq.search_for_load(seq, ea, size) {
+            match self.lsq.search_for_load(self.inflight.get(seq).sq_mark, ea, size) {
                 LoadSearch::Forward(data_ready) => {
                     if data_ready == u64::MAX {
                         return false; // producing store has not executed yet
@@ -1389,8 +1417,8 @@ impl Core {
         };
 
         // Width-misprediction execution penalties.
-        let (slot_di, slot_unsafe_in, slot_unsafe_out, slot_pred_width) =
-            (slot.di, slot.unsafe_in, slot.unsafe_out, slot.pred_width);
+        let (slot_load_enc, slot_unsafe_in, slot_unsafe_out, slot_pred_width) =
+            (slot.load_enc, slot.unsafe_in, slot.unsafe_out, slot.pred_width);
         // §3.6: a load read is gated to the top die only when it was
         // predicted low *and* the line's upper bits are reconstructible
         // there (partial value encoding / the zero-upper memo bit).
@@ -1409,7 +1437,7 @@ impl Core {
                 self.stats.output_width_replays += 1;
             }
             if class == OpClass::Load && slot_pred_width == Width::Low {
-                if self.load_serviced_from_top_die(&slot_di) {
+                if self.load_serviced_from_top_die(slot_load_enc) {
                     load_gated = true;
                 } else {
                     // §3.6: stall the cache pipeline one cycle; the tag
@@ -1465,8 +1493,7 @@ impl Core {
         // kinds of memory op broadcast their address into the LSQ; PAM
         // upper-bit matches keep the comparison on the top die (§3.5).
         if class == OpClass::Store {
-            let ea = self.inflight.get(seq).di.ea.expect("stores have addresses");
-            self.lsq.set_store_ready(seq, cycle + lat.agu);
+            self.lsq.set_store_ready(self.inflight.get(seq).sq_mark, cycle + lat.agu);
             if self.cfg.herding.pam {
                 let out = self.pam.broadcast_store(ea);
                 self.record_lsq_broadcast(herding && out.upper_match);
@@ -1475,7 +1502,7 @@ impl Core {
             }
         } else if class == OpClass::Load {
             if self.cfg.herding.pam {
-                let out = self.pam.broadcast_load(self.inflight.get(seq).di.ea.unwrap());
+                let out = self.pam.broadcast_load(ea);
                 self.record_lsq_broadcast(herding && out.upper_match);
             } else {
                 self.record_lsq_broadcast(false);
@@ -1521,7 +1548,7 @@ impl Core {
         slot.state = SlotState::Issued;
         slot.complete_at = complete_at;
         if let Some(die) = slot.rs_die.take() {
-            self.scheduler.free(die);
+            self.scheduler.free(usize::from(die));
         }
         self.stats.issued += 1;
         true
@@ -1530,9 +1557,7 @@ impl Core {
     /// Whether a low-width-predicted load was serviced without touching
     /// the lower three dies (§3.6 partial value encoding, or the plain
     /// zero-upper memoization bit when PVE is off).
-    fn load_serviced_from_top_die(&mut self, di: &DynInst) -> bool {
-        let ea = di.ea.expect("load");
-        let enc = UpperEncoding::classify(di.rd_val, ea);
+    fn load_serviced_from_top_die(&mut self, enc: UpperEncoding) -> bool {
         self.stats.dcache_encodings.record(enc);
         if self.cfg.herding.partial_value_encoding {
             enc.top_die_only()
@@ -1631,18 +1656,17 @@ impl Core {
     /// branch. Shared verbatim with the scan reference.
     fn complete_slot(&mut self, seq: u64) {
         let slot = self.inflight.get_mut(seq);
-        let di = slot.di;
+        let (op, dest) = (slot.op, slot.dest());
         let out_width = slot.out_width;
         let mispredicted = slot.mispredicted;
         slot.state = SlotState::Done;
-        slot.wrote_back = true;
 
             // Writeback accounting: register file, ROB result field,
             // bypass network, and the wakeup tag broadcast. The producing
             // FU knows the result's width, so a low result drives only
             // the top die's write ports and bypass wires (§3.1–§3.3).
             let herding = self.cfg.herding.enabled;
-            if let Some(rd) = di.inst.dest() {
+            if let Some(rd) = dest {
                 if rd.is_fp() {
                     self.stats.rf_writes_full += 1;
                     self.stats.rob_writes_full += 1;
@@ -1675,11 +1699,11 @@ impl Core {
             }
 
             // Branch resolution: release the fetch redirect.
-            if mispredicted && self.redirect_pending == Some(di.seq) {
+            if mispredicted && self.redirect_pending == Some(seq) {
                 self.redirect_pending = None;
                 self.fetch_resume_at =
                     self.fetch_resume_at.max(self.cycle + self.cfg.pipeline.redirect_extra);
-                if di.inst.op.is_cond_branch() {
+                if op.is_cond_branch() {
                     self.stats.cond_mispredicts += 1;
                 }
             }
@@ -1749,7 +1773,7 @@ impl Core {
         // issue next cycle.
         for seq in self.ev_ready.iter_from(self.inflight.head()) {
             let slot = self.inflight.get(seq);
-            let op = slot.di.inst.op;
+            let op = slot.op;
             match slot.fu {
                 FuClass::IntMul if matches!(op, Op::Div | Op::Rem) => {
                     if self.int_div_busy_until <= next {
@@ -1764,9 +1788,8 @@ impl Core {
                     t = t.min(self.fp_div_busy_until);
                 }
                 FuClass::Mem if slot.class == OpClass::Load => {
-                    let ea = slot.di.ea.expect("loads have addresses");
                     let size = op.mem_size().expect("loads are sized") as u64;
-                    match self.lsq.search_for_load(slot.di.seq, ea, size) {
+                    match self.lsq.search_for_load(slot.sq_mark, slot.ea, size) {
                         LoadSearch::Forward(c) | LoadSearch::PartialOverlap(c)
                             if c == u64::MAX => {}
                         _ => return None,
@@ -1873,7 +1896,8 @@ impl Core {
             if head.state != SlotState::Done || head.complete_at > self.cycle {
                 break;
             }
-            let (di, class, out_width) = (head.di, head.class, head.out_width);
+            let Slot { ea, rd, class, out_width, sq_mark, .. } = *head;
+            let seq = self.inflight.head();
             self.inflight.commit();
 
             // ROB result read at retirement (architected-state copy).
@@ -1900,12 +1924,11 @@ impl Core {
                 }
                 OpClass::Store => {
                     self.stats.stores += 1;
-                    self.lsq.commit_store(di.seq);
-                    let ea = di.ea.expect("store");
+                    self.lsq.commit_store(sq_mark);
                     let mem = self.hierarchy.data_access(ea, true);
                     self.record_dcache_access(&mem);
                     // Stores know their data width at commit (§3.6).
-                    match self.classify(di.rs2_val) {
+                    match out_width {
                         Width::Low => {
                             self.stats.dcache_writes_low += 1;
                             if herding {
@@ -1923,8 +1946,8 @@ impl Core {
                 _ => {}
             }
 
-            if self.rename[di.inst.rd.index()] == Some(di.seq) {
-                self.rename[di.inst.rd.index()] = None;
+            if self.rename[rd.index()] == Some(seq) {
+                self.rename[rd.index()] = None;
             }
             self.stats.committed += 1;
         }

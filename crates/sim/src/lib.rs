@@ -44,6 +44,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod branch;
 mod cache;

@@ -5,7 +5,7 @@
 //!
 //!   <preset>            fig8 | fig9 | fig10 | dtm | dtm-smoke | selftest
 //!   --dir <path>        run directory (default: sweeps/<preset>)
-//!   --budget <insts>    per-core instruction budget (default: 60000)
+//!   --budget <insts>    per-core instruction budget, at least 1 (default: 60000)
 //!   --rows <n>          fig10 thermal grid resolution, at least 1 (default: 16)
 //!   --attempts <n>      attempts per shard before degrading (default: 3)
 //!   --timeout-s <secs>  per-attempt wall-clock limit (default: none)
@@ -52,7 +52,7 @@ fn main() -> ExitCode {
                 Err(()) => return usage(),
             },
             "--budget" => match value("--budget").map(str::parse) {
-                Ok(Ok(v)) => budget = v,
+                Ok(Ok(v)) if v >= 1 => budget = v,
                 _ => return usage(),
             },
             "--rows" => match value("--rows").map(str::parse) {

@@ -32,10 +32,13 @@
 //! <dir>/shards/<id>.json one durable checkpoint per completed shard
 //! ```
 //!
-//! Each `shard_done` line carries the shard's `wall_s`; the closing
+//! The opening `sweep_start` line carries the pool's `lanes`. Each
+//! `shard_done` line carries the shard's `wall_s`; the closing
 //! `sweep_done` line carries the whole sweep's `wall_s` (set-up, resume
-//! scan and checkpoint I/O included) and the pool's `lanes`, so the time
-//! spent outside shards can be read from the telemetry alone.
+//! scan and checkpoint I/O included), the pool's `lanes` and
+//! `checkpoint_s`, the summed time of the sweep's durable writes
+//! (manifest and shard checkpoints), so the time spent outside shards
+//! can be read from the telemetry alone.
 //!
 //! Shard **metrics** are deterministic simulation outputs; wall-clock
 //! numbers live in separate telemetry fields, so a resumed sweep's
@@ -55,6 +58,7 @@ use std::fs;
 use std::io::{self, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use th_cosim::{CoSimConfig, PolicyKind};
@@ -648,6 +652,14 @@ pub fn run_sweep(
 ) -> io::Result<SweepOutcome> {
     assert!(opts.max_attempts >= 1, "at least one attempt");
     let t_sweep = Instant::now();
+    // Summed durable-write time over every lane, in nanoseconds.
+    let checkpoint_ns = AtomicU64::new(0);
+    let timed_write = |path: &Path, content: &str| {
+        let t0 = Instant::now();
+        let result = write_durable(path, content);
+        checkpoint_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        result
+    };
     {
         let mut seen = std::collections::BTreeSet::new();
         for s in &spec.shards {
@@ -676,7 +688,7 @@ pub fn run_sweep(
             }
         }
         Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            write_durable(&manifest_path, &manifest_json(spec))?;
+            timed_write(&manifest_path, &manifest_json(spec))?;
         }
         Err(e) => return Err(e),
     }
@@ -706,6 +718,7 @@ pub fn run_sweep(
         raw_pair("shards", format!("{}", spec.shards.len())),
         raw_pair("resumed_done", format!("{resumed}")),
         raw_pair("pending", format!("{}", pending.len())),
+        raw_pair("lanes", format!("{}", pool.threads())),
     ]);
     if opts.verbose && resumed > 0 {
         eprintln!(
@@ -786,7 +799,7 @@ pub fn run_sweep(
         // Durable checkpoint first, then the telemetry line announcing
         // it — a kill between the two re-runs nothing.
         let path = shards_dir.join(format!("{}.json", sanitize_id(&shard.id)));
-        let write_err = write_durable(&path, &record.to_json()).err();
+        let write_err = timed_write(&path, &record.to_json()).err();
         match record.status {
             ShardStatus::Done => {
                 let mut line = vec![
@@ -847,6 +860,7 @@ pub fn run_sweep(
         raw_pair("degraded", format!("{}", outcome.degraded())),
         raw_pair("wall_s", json::num(t_sweep.elapsed().as_secs_f64())),
         raw_pair("lanes", format!("{}", pool.threads())),
+        raw_pair("checkpoint_s", json::num(checkpoint_ns.load(Ordering::Relaxed) as f64 * 1e-9)),
     ]);
     Ok(outcome)
 }

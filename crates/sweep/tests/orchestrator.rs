@@ -329,6 +329,32 @@ fn sweep_done_line_carries_the_sweep_wall_time_and_lanes() {
 }
 
 #[test]
+fn sweep_start_carries_lanes_and_sweep_done_the_checkpoint_time() {
+    let dir = RunDir::new("checkpoint-time");
+    let pool = Pool::new(2);
+    let spec = presets::selftest();
+    run_sweep(&spec, &dir.0, &fast_opts(), &pool).expect("sweep completes");
+    let events = telemetry_events(&dir.0);
+    let (event, start) = events.first().expect("telemetry written");
+    assert_eq!(event, "sweep_start");
+    assert_eq!(start.get("lanes").and_then(Json::as_f64), Some(2.0));
+    let (event, done) = events.last().expect("telemetry written");
+    assert_eq!(event, "sweep_done");
+    let wall_s = done.get("wall_s").and_then(Json::as_f64).expect("numeric wall_s");
+    let checkpoint_s =
+        done.get("checkpoint_s").and_then(Json::as_f64).expect("numeric checkpoint_s");
+    // The manifest and every shard checkpoint were written, inside the sweep.
+    assert!(checkpoint_s > 0.0, "checkpoint_s {checkpoint_s}");
+    assert!(checkpoint_s <= wall_s, "checkpoint_s {checkpoint_s} > wall_s {wall_s}");
+
+    // A resume that finds every shard done writes nothing durable.
+    run_sweep(&spec, &dir.0, &fast_opts(), &pool).expect("resume completes");
+    let events = telemetry_events(&dir.0);
+    let (_, done) = events.last().expect("telemetry written");
+    assert_eq!(done.get("checkpoint_s").and_then(Json::as_f64), Some(0.0));
+}
+
+#[test]
 fn thermal_shard_done_line_carries_its_phase_timings() {
     let dir = RunDir::new("phase-timings");
     let spec = SweepSpec {

@@ -65,22 +65,36 @@ fn fault_injected_selftest_degrades_then_resumes() {
     assert_eq!(telemetry_events(&dir, "shard_start"), started + 1, "finished shards reran");
 }
 
-#[test]
-fn zero_rows_is_a_usage_error_before_any_run() {
-    let dir = std::env::temp_dir().join(format!("th-sweep-cli-rows-{}", std::process::id()));
+/// Runs `sweep fig10` with `args` into a fresh directory tagged `tag` and
+/// asserts the command is rejected with the usage text before any run
+/// directory exists.
+fn assert_usage_error_before_any_run(tag: &str, args: &[&str]) {
+    let dir = std::env::temp_dir().join(format!("th-sweep-cli-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
-        .args(["fig10", "--rows", "0", "--budget", "2000", "--attempts", "1", "--quiet", "--dir"])
+        .arg("fig10")
+        .args(args)
+        .args(["--attempts", "1", "--quiet", "--dir"])
         .arg(&dir)
         .env_remove(FAULT_ENV)
         .output()
         .expect("sweep starts");
     let created = dir.exists();
     let _ = fs::remove_dir_all(&dir);
-    assert!(!out.status.success(), "`--rows 0` exited {:?}", out.status);
+    assert!(!out.status.success(), "`{}` exited {:?}", args.join(" "), out.status);
     assert!(!created, "a run directory was created");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.starts_with("usage: sweep"), "stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
     assert!(out.stdout.is_empty(), "stdout: {}", String::from_utf8_lossy(&out.stdout));
+}
+
+#[test]
+fn zero_rows_is_a_usage_error_before_any_run() {
+    assert_usage_error_before_any_run("rows", &["--rows", "0", "--budget", "2000"]);
+}
+
+#[test]
+fn zero_budget_is_a_usage_error_before_any_run() {
+    assert_usage_error_before_any_run("budget", &["--budget", "0", "--rows", "4"]);
 }
