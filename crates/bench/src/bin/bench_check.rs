@@ -10,11 +10,14 @@
 //!
 //! The guards compare fresh `bench_report` runs against the committed
 //! `BENCH_pipeline.json`: the fig8 sequential sweep (`seq_s`) and the
-//! closed-loop co-simulation smoke (`cosim.total_s`) each fail when the
-//! fastest fresh time exceeds [`MAX_SLOWDOWN`] times the committed one.
-//! Shared CI hosts are noisy (the same binary's fig8 time swings by a
-//! third within minutes), so each time is the minimum over several
-//! fresh runs and only a large slowdown fails; faster always passes.
+//! closed-loop co-simulation smoke (`cosim.total_s`), each divided by
+//! its own report's `host_calibration_s` (a fixed integer loop timed
+//! between the legs), fail when the fastest fresh ratio exceeds
+//! [`MAX_SLOWDOWN`] times the committed one. Shared CI hosts are noisy
+//! (the same binary's fig8 time swings by a third within minutes, and a
+//! slow spell can outlast several runs), so each time is read relative
+//! to the host's speed at that moment, the minimum over several fresh
+//! runs, and only a large slowdown fails; faster always passes.
 //! Every report must also carry the core loop's throughput block
 //! (`core`), every rate a number; it is reported, not guarded.
 //! `verdict` reads sweepbench's output on stdin and passes only
@@ -77,6 +80,30 @@ fn cosim_total_s(report: &Json) -> Result<f64, String> {
     number(field(report, "cosim")?, "total_s")
 }
 
+/// A guarded time and its report's host-calibration time.
+#[derive(Clone, Copy)]
+struct HostTime {
+    secs: f64,
+    calibration_s: f64,
+}
+
+impl HostTime {
+    /// `read`'s time from `report`, with the report's calibration time,
+    /// which must be positive.
+    fn read(report: &Json, read: fn(&Json) -> Result<f64, String>) -> Result<HostTime, String> {
+        let calibration_s = number(report, "host_calibration_s")?;
+        if !(calibration_s > 0.0 && calibration_s.is_finite()) {
+            return Err(format!("field \"host_calibration_s\" is {calibration_s}, not positive"));
+        }
+        Ok(HostTime { secs: read(report)?, calibration_s })
+    }
+
+    /// The time in units of the calibration loop.
+    fn relative(self) -> f64 {
+        self.secs / self.calibration_s
+    }
+}
+
 /// The runs the `core` block measures, and each one's rates.
 const CORE_RUNS: [&str; 2] = ["chip", "cosim"];
 const CORE_RATES: [&str; 3] = ["minst_per_s", "mcycles_per_s", "idle_skip_ratio"];
@@ -99,16 +126,21 @@ fn core_block(report: &Json) -> Result<String, String> {
     Ok(format!("core loop: {}", parts.join(", ")))
 }
 
-/// One guard: `Ok` with its report line if `fresh` is at most
-/// [`MAX_SLOWDOWN`] times `committed`.
-fn guard(label: &str, committed: f64, fresh: f64) -> Result<String, String> {
-    if !(committed > 0.0 && fresh >= 0.0) {
+/// One guard: `Ok` with its report line if `fresh`, relative to its
+/// host calibration, is at most [`MAX_SLOWDOWN`] times `committed`.
+fn guard(label: &str, committed: HostTime, fresh: HostTime) -> Result<String, String> {
+    if !(committed.secs > 0.0 && fresh.secs >= 0.0) {
         return Err(format!(
-            "{label}: times must be positive (committed {committed}, fresh {fresh})"
+            "{label}: times must be positive (committed {}, fresh {})",
+            committed.secs, fresh.secs
         ));
     }
-    let ratio = fresh / committed;
-    let line = format!("{label} {fresh:.2}s fresh vs {committed:.2}s committed ({ratio:.2}x)");
+    let ratio = fresh.relative() / committed.relative();
+    let line = format!(
+        "{label} {:.2}s fresh vs {:.2}s committed, host calibration {:.3}s vs {:.3}s \
+         ({ratio:.2}x)",
+        fresh.secs, committed.secs, fresh.calibration_s, committed.calibration_s
+    );
     if ratio > MAX_SLOWDOWN {
         Err(format!("{line}: regressed more than {MAX_SLOWDOWN}x"))
     } else {
@@ -116,9 +148,9 @@ fn guard(label: &str, committed: f64, fresh: f64) -> Result<String, String> {
     }
 }
 
-/// Both guards of the minimum time over the `fresh` reports against
-/// `committed`, every one reported, then each fresh `core` block; every
-/// report must be well formed.
+/// Both guards of the minimum host-relative time over the `fresh`
+/// reports against `committed`, every one reported, then each fresh
+/// `core` block; every report must be well formed.
 fn guards(committed: &Json, fresh: &[Json]) -> Result<Vec<String>, String> {
     if fresh.is_empty() {
         return Err("no fresh report to guard".into());
@@ -128,12 +160,20 @@ fn guards(committed: &Json, fresh: &[Json]) -> Result<Vec<String>, String> {
     let mut lines = checks
         .iter()
         .map(|&(label, read)| {
-            let committed = read(committed).map_err(|e| format!("committed report: {e}"))?;
-            let mut best = f64::INFINITY;
-            for (k, report) in fresh.iter().enumerate() {
-                let t = read(report).map_err(|e| format!("fresh report {}: {e}", k + 1))?;
-                best = best.min(t);
-            }
+            let committed =
+                HostTime::read(committed, read).map_err(|e| format!("committed report: {e}"))?;
+            let times = fresh
+                .iter()
+                .enumerate()
+                .map(|(k, report)| {
+                    HostTime::read(report, read)
+                        .map_err(|e| format!("fresh report {}: {e}", k + 1))
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            let best = times
+                .into_iter()
+                .min_by(|a, b| a.relative().total_cmp(&b.relative()))
+                .expect("at least one fresh report");
             guard(label, committed, best)
         })
         .collect::<Result<Vec<_>, _>>()?;
@@ -213,9 +253,15 @@ mod tests {
     const CORE: &str = r#"{"chip": {"minst_per_s": 0.9, "mcycles_per_s": 1.1, "idle_skip_ratio": 0.2},
                            "cosim": {"minst_per_s": 0.5, "mcycles_per_s": 1.4, "idle_skip_ratio": 0.6}}"#;
 
-    fn report_with_core(fig8_seq_s: &str, cosim_total_s: &str, core: &str) -> Json {
+    fn report_on_host_with_core(
+        fig8_seq_s: &str,
+        cosim_total_s: &str,
+        calibration_s: &str,
+        core: &str,
+    ) -> Json {
         Json::parse(&format!(
             r#"{{"budget_insts": 60000.0, "fig10_rows": 16.0,
+                "host_calibration_s": {calibration_s},
                 "experiments": [{{"name": "fig9", "seq_s": 9.0}},
                                 {{"name": "fig8", "seq_s": {fig8_seq_s}}}],
                 "cosim": {{"intervals": 30.0, "total_s": {cosim_total_s}}},
@@ -224,8 +270,64 @@ mod tests {
         .unwrap()
     }
 
+    fn report_with_core(fig8_seq_s: &str, cosim_total_s: &str, core: &str) -> Json {
+        report_on_host_with_core(fig8_seq_s, cosim_total_s, "0.1", core)
+    }
+
     fn report(fig8_seq_s: &str, cosim_total_s: &str) -> Json {
         report_with_core(fig8_seq_s, cosim_total_s, CORE)
+    }
+
+    fn report_on_host(fig8_seq_s: &str, cosim_total_s: &str, calibration_s: &str) -> Json {
+        report_on_host_with_core(fig8_seq_s, cosim_total_s, calibration_s, CORE)
+    }
+
+    #[test]
+    fn a_uniformly_slower_host_passes() {
+        let committed = report_on_host("2.0", "1.0", "0.1");
+        let lines = guards(&committed, &[report_on_host("4.0", "2.0", "0.2")])
+            .expect("a host 2x slower at everything passed");
+        assert!(lines[0].contains("fig8 seq 4.00s fresh"), "{}", lines[0]);
+        assert!(lines[0].contains("(1.00x)"), "{}", lines[0]);
+        assert!(lines[1].contains("(1.00x)"), "{}", lines[1]);
+    }
+
+    #[test]
+    fn a_slowdown_of_fig8_alone_fails_on_any_host() {
+        let committed = report_on_host("2.0", "1.0", "0.1");
+        let slower = guards(&committed, &[report_on_host("3.2", "1.0", "0.1")]);
+        assert!(slower.is_err(), "fig8 at 1.6x on the same host passed");
+        let slower_on_slow_host = guards(&committed, &[report_on_host("6.4", "2.0", "0.2")]);
+        assert!(slower_on_slow_host.is_err(), "fig8 at 1.6x on a 2x slower host passed");
+        // Absolute fig8 time within the bound, but the host got faster.
+        let faster_host = guards(&committed, &[report_on_host("2.0", "0.5", "0.05")]);
+        assert!(faster_host.is_err(), "fig8 at 2x on a 2x faster host passed");
+    }
+
+    #[test]
+    fn each_guard_picks_the_fresh_run_fastest_relative_to_its_host() {
+        let committed = report_on_host("2.0", "1.0", "0.1");
+        // The second run is slower in seconds but ran on a slow host.
+        let fresh = [report_on_host("3.2", "1.2", "0.1"), report_on_host("4.4", "2.4", "0.2")];
+        let lines = guards(&committed, &fresh).expect("the slow-host run is within the bound");
+        assert!(lines[0].contains("fig8 seq 4.40s fresh"), "{}", lines[0]);
+        assert!(lines[0].contains("(1.10x)"), "{}", lines[0]);
+        assert!(lines[1].contains("cosim smoke 1.20s fresh"), "{}", lines[1]);
+    }
+
+    #[test]
+    fn a_missing_or_non_positive_calibration_is_an_error() {
+        let good = report("2.0", "1.0");
+        for bad in ["0.0", "-0.1", "null", "\"fast\""] {
+            let fresh = report_on_host("2.0", "1.0", bad);
+            assert!(guards(&good, std::slice::from_ref(&fresh)).is_err(), "fresh {bad} passed");
+            assert!(guards(&fresh, std::slice::from_ref(&good)).is_err(), "committed {bad} passed");
+        }
+        let uncalibrated = Json::parse(
+            r#"{"experiments": [{"name": "fig8", "seq_s": 2.0}], "cosim": {"total_s": 1.0}}"#,
+        )
+        .unwrap();
+        assert!(guards(&good, &[uncalibrated]).is_err(), "a report without calibration passed");
     }
 
     #[test]

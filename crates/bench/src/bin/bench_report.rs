@@ -2,7 +2,11 @@
 //! sweeps at one thread and at the configured thread count, the
 //! closed-loop co-simulation smoke, the core loop's throughput and, as
 //! the thermal smoke, the steady solve the Figure 10 sweep runs, and
-//! writes the measurements to `BENCH_pipeline.json`.
+//! writes the measurements to `BENCH_pipeline.json`. A fixed
+//! host-calibration loop, timed between those legs, gives the report's
+//! `host_calibration_s`: `bench_check guard` compares times relative to
+//! it, so a host that is slower right now does not read as a
+//! regression.
 //!
 //! ```text
 //! cargo run --release -p th-bench --bin bench_report [budget] [fig10-rows]
@@ -33,6 +37,30 @@ fn time_s<R>(f: impl FnOnce() -> R) -> (f64, R) {
     let r = f();
     std::hint::black_box(&r);
     (t0.elapsed().as_secs_f64(), r)
+}
+
+/// Rounds of the host-calibration loop (about 0.1 s on a current x86-64 core).
+const CALIBRATION_ROUNDS: u64 = 60_000_000;
+
+/// One timing of the host-calibration loop: a serial chain of integer
+/// multiplies, xors and rotates, touching no memory and no workspace
+/// code, so its time moves only with the host's speed.
+fn calibration_s() -> f64 {
+    time_s(|| {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..std::hint::black_box(CALIBRATION_ROUNDS) {
+            x = (x ^ i).wrapping_mul(0xbf58_476d_1ce4_e5b9).rotate_left(17);
+        }
+        x
+    })
+    .0
+}
+
+/// The median of `samples`.
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    let n = samples.len();
+    (samples[(n - 1) / 2] + samples[n / 2]) / 2.0
 }
 
 /// One timed pass of a preset sweep into a fresh scratch run directory,
@@ -110,6 +138,9 @@ fn main() -> ExitCode {
     let seq = Pool::new(1);
     let par = Pool::new(par_threads);
 
+    // The calibration loop runs before the first leg and after each of
+    // the fig8, fig9, fig10 and cosim legs.
+    let mut calibration = vec![calibration_s()];
     let mut experiments = Vec::new();
     for spec in [presets::fig8(budget), presets::fig9(budget), presets::fig10(budget, rows)] {
         let name = &spec.name;
@@ -143,6 +174,7 @@ fn main() -> ExitCode {
             ("threads", num(par_threads as f64)),
             ("speedup", num(speedup)),
         ]));
+        calibration.push(calibration_s());
     }
 
     // Closed-loop co-simulation smoke: the dtm-smoke preset (one shard —
@@ -152,6 +184,9 @@ fn main() -> ExitCode {
     // shard's telemetry.
     eprintln!("timing the closed-loop co-simulation smoke...");
     let (cosim_s, cosim) = timed_sweep(&presets::dtm_smoke(), &seq);
+    calibration.push(calibration_s());
+    let host_calibration_s = median(calibration);
+    println!("host: calibration loop {:.1} ms (median)", host_calibration_s * 1e3);
     let shard = &cosim.records[0];
     let intervals = shard.metric("intervals").expect("intervals metric");
     let intervals_per_s = intervals / cosim_s;
@@ -253,6 +288,7 @@ fn main() -> ExitCode {
         ("budget_insts", num(budget as f64)),
         ("fig10_rows", num(rows as f64)),
         ("threads", num(par_threads as f64)),
+        ("host_calibration_s", num(host_calibration_s)),
         ("experiments", Json::Arr(experiments)),
         ("cosim", cosim),
         ("core", core),

@@ -42,8 +42,6 @@ pub struct DtmTrace {
     /// The co-simulation trace (per-interval temperature, clock, fetch
     /// width, IPC, power split).
     pub report: CoSimReport,
-    /// Nominal fetch width (for throttle accounting).
-    pub nominal_fetch_width: usize,
 }
 
 impl DtmTrace {
@@ -60,7 +58,7 @@ impl DtmTrace {
     /// Fraction of control intervals spent below the nominal operating
     /// point (clock or fetch width).
     pub fn throttled_fraction(&self) -> f64 {
-        self.report.throttled_fraction(self.nominal_fetch_width)
+        self.report.throttled_fraction()
     }
 
     /// Instructions delivered per core over the trace, in billions:
@@ -102,10 +100,8 @@ pub fn run_variant_scaled(
 ) -> DtmTrace {
     let (floorplan, solver) = thermal_geometry(variant, rows);
     let leakage = LeakageModel::new(variant.power_config().chip_leakage_w, &floorplan);
-    let sim_cfg = variant.sim_config();
-    let nominal_fetch_width = sim_cfg.core.fetch_width;
     let cosim = CoSimulator::new(
-        sim_cfg,
+        variant.sim_config(),
         variant.power_config(),
         leakage,
         &floorplan,
@@ -115,7 +111,7 @@ pub fn run_variant_scaled(
         &workload.program,
     );
     let report = cosim.run().expect("co-simulation runs");
-    DtmTrace { variant, cap_k, report, nominal_fetch_width }
+    DtmTrace { variant, cap_k, report }
 }
 
 /// [`run_variant_scaled`] with the standard interval structure

@@ -41,7 +41,7 @@ pub use policy::{
     DtmAction, DtmPolicy, DvfsLadder, FetchThrottle, HerdingAware, IntervalObs, NoDtm,
     PolicyKind,
 };
-pub use report::{CoSimReport, IntervalSample};
+pub use report::{CoSimReport, IntervalDecision, IntervalSample};
 
 use std::time::Instant;
 use th_isa::Program;
@@ -199,6 +199,7 @@ pub struct CoSimulator<'a> {
     /// Per-unit peak temperatures after the last interval (drives the
     /// next interval's leakage). Starts at ambient.
     unit_peaks_k: Vec<(Unit, f64)>,
+    decisions: Vec<IntervalDecision>,
     sim_wall_s: f64,
     solver_wall_s: f64,
     solver_sweeps: usize,
@@ -278,6 +279,7 @@ impl<'a> CoSimulator<'a> {
             nominal_ghz,
             nominal_fetch_width,
             unit_peaks_k: Vec::new(),
+            decisions: Vec::with_capacity(cfg.steps),
             sim_wall_s: 0.0,
             solver_wall_s: 0.0,
             solver_sweeps: 0,
@@ -413,17 +415,10 @@ impl<'a> CoSimulator<'a> {
         };
 
         // 4. React: the policy's decision applies to the next interval.
-        let obs = IntervalObs {
-            t_s: sample.t_s,
-            peak_k,
-            die_peak_k: &sample.die_peak_k,
-            unit_peaks_k: &self.unit_peaks_k,
-            clock_ghz: sample.clock_ghz,
-            fetch_width: sample.fetch_width,
-            nominal_ghz: self.nominal_ghz,
-            nominal_fetch_width: self.nominal_fetch_width,
-            ipc: sample.ipc(),
-        };
+        // The report records it with the one observation input the
+        // sample lacks, so a sibling policy can be replayed against it.
+        let obs =
+            sample.observation(&self.unit_peaks_k, self.nominal_ghz, self.nominal_fetch_width);
         let action = self.policy.decide(&obs);
         if let Some(ghz) = action.clock_ghz {
             self.session.set_clock_ghz(ghz.max(0.1));
@@ -431,6 +426,7 @@ impl<'a> CoSimulator<'a> {
         if let Some(w) = action.fetch_width {
             self.session.set_fetch_width(w);
         }
+        self.decisions.push(IntervalDecision { unit_peaks_k: self.unit_peaks_k.clone(), action });
 
         Ok(sample)
     }
@@ -463,7 +459,9 @@ impl<'a> CoSimulator<'a> {
         Ok(CoSimReport {
             policy: self.policy.name().to_string(),
             nominal_ghz: self.nominal_ghz,
+            nominal_fetch_width: self.nominal_fetch_width,
             intervals,
+            decisions: self.decisions,
             unit_peaks_k: self.unit_peaks_k,
             unit_leakage_w,
             unit_top_die,

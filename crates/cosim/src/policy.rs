@@ -50,6 +50,14 @@ impl DtmAction {
 }
 
 /// A closed-loop thermal controller.
+///
+/// **Contract:** [`decide`](DtmPolicy::decide) may depend only on the
+/// observations fed to this policy, in the order they were fed: no
+/// clock, no randomness, no state shared with anything else. A
+/// co-simulation's trajectory is then a pure function of its inputs and
+/// its action sequence, which is what lets
+/// [`CoSimReport::replay`](crate::CoSimReport::replay) reuse one run for
+/// every policy that makes the same decisions.
 pub trait DtmPolicy {
     /// Short name for reports ("none", "dvfs", ...).
     fn name(&self) -> &'static str;

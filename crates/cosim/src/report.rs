@@ -1,5 +1,6 @@
 //! Co-simulation output: the per-interval time series and summaries.
 
+use crate::policy::{DtmAction, DtmPolicy, IntervalObs};
 use std::fmt;
 use th_sim::CoreWork;
 use th_stack3d::Unit;
@@ -43,6 +44,38 @@ impl IntervalSample {
     pub fn total_w(&self) -> f64 {
         self.dynamic_w + self.clock_w + self.leakage_w
     }
+
+    /// What a policy observes after this interval: the one constructor
+    /// of [`IntervalObs`] for the live loop and for
+    /// [`CoSimReport::replay`], so a replay feeds exactly what the run fed.
+    pub(crate) fn observation<'a>(
+        &'a self,
+        unit_peaks_k: &'a [(Unit, f64)],
+        nominal_ghz: f64,
+        nominal_fetch_width: usize,
+    ) -> IntervalObs<'a> {
+        IntervalObs {
+            t_s: self.t_s,
+            peak_k: self.peak_k,
+            die_peak_k: &self.die_peak_k,
+            unit_peaks_k,
+            clock_ghz: self.clock_ghz,
+            fetch_width: self.fetch_width,
+            nominal_ghz,
+            nominal_fetch_width,
+            ipc: self.ipc(),
+        }
+    }
+}
+
+/// The policy's side of one interval: the observation it got beyond the
+/// interval's [`IntervalSample`], and the action it returned.
+#[derive(Clone, Debug, PartialEq)]
+pub struct IntervalDecision {
+    /// Per-unit peak temperature after the interval, kelvin.
+    pub unit_peaks_k: Vec<(Unit, f64)>,
+    /// The decision, applied to the next interval.
+    pub action: DtmAction,
 }
 
 /// The full co-simulation result: the interval time series plus the final
@@ -53,8 +86,12 @@ pub struct CoSimReport {
     pub policy: String,
     /// The design's nominal clock, GHz.
     pub nominal_ghz: f64,
+    /// The design's nominal fetch width.
+    pub nominal_fetch_width: usize,
     /// One sample per interval, in time order.
     pub intervals: Vec<IntervalSample>,
+    /// One policy decision per interval, aligned with `intervals`.
+    pub decisions: Vec<IntervalDecision>,
     /// Per-unit peak temperature at the end of the run, kelvin.
     pub unit_peaks_k: Vec<(Unit, f64)>,
     /// Per-unit leakage at the final temperatures, watts (chip total per
@@ -75,6 +112,41 @@ pub struct CoSimReport {
 }
 
 impl CoSimReport {
+    /// This run as `policy` would have produced it, if `policy` makes
+    /// exactly the recorded decisions. Each interval's observation is
+    /// rebuilt from the record and fed to `policy`, which must be fresh.
+    /// The first decision that differs from the recorded [`DtmAction`]
+    /// returns `None`.
+    ///
+    /// The trajectory is a deterministic function of the run's inputs and
+    /// its action sequence (the [`DtmPolicy`] contract), so the returned
+    /// report is bit-identical to simulating under `policy`. It is
+    /// relabelled for `policy`, and its wall times, work counters and
+    /// solver sweeps are zero: nothing was simulated.
+    pub fn replay(&self, policy: &mut dyn DtmPolicy) -> Option<CoSimReport> {
+        if self.decisions.len() != self.intervals.len() {
+            return None;
+        }
+        for (sample, decision) in self.intervals.iter().zip(&self.decisions) {
+            let obs = sample.observation(
+                &decision.unit_peaks_k,
+                self.nominal_ghz,
+                self.nominal_fetch_width,
+            );
+            if policy.decide(&obs) != decision.action {
+                return None;
+            }
+        }
+        Some(CoSimReport {
+            policy: policy.name().to_string(),
+            sim_wall_s: 0.0,
+            sim_work: CoreWork::default(),
+            solver_wall_s: 0.0,
+            solver_sweeps: 0,
+            ..self.clone()
+        })
+    }
+
     /// Hottest temperature over the whole run.
     pub fn max_peak_k(&self) -> f64 {
         self.intervals.iter().map(|s| s.peak_k).fold(f64::NEG_INFINITY, f64::max)
@@ -96,7 +168,7 @@ impl CoSimReport {
 
     /// Fraction of intervals that ran below the nominal operating point
     /// (clock or fetch width throttled).
-    pub fn throttled_fraction(&self, nominal_fetch_width: usize) -> f64 {
+    pub fn throttled_fraction(&self) -> f64 {
         if self.intervals.is_empty() {
             return 0.0;
         }
@@ -104,7 +176,7 @@ impl CoSimReport {
             .intervals
             .iter()
             .filter(|s| {
-                s.clock_ghz < self.nominal_ghz - 1e-9 || s.fetch_width < nominal_fetch_width
+                s.clock_ghz < self.nominal_ghz - 1e-9 || s.fetch_width < self.nominal_fetch_width
             })
             .count();
         throttled as f64 / self.intervals.len() as f64
@@ -215,7 +287,9 @@ mod tests {
         CoSimReport {
             policy: "none".into(),
             nominal_ghz: 3.93,
+            nominal_fetch_width: 4,
             intervals: samples,
+            decisions: vec![],
             unit_peaks_k: vec![],
             unit_leakage_w: vec![],
             unit_top_die: vec![],
@@ -230,7 +304,7 @@ mod tests {
     fn summaries() {
         let r = report(vec![sample(3.93, 4, 10.0), sample(3.73, 4, 25.0), sample(3.93, 2, 20.0)]);
         assert!((r.ipc() - 0.5).abs() < 1e-12);
-        assert!((r.throttled_fraction(4) - 2.0 / 3.0).abs() < 1e-12);
+        assert!((r.throttled_fraction() - 2.0 / 3.0).abs() < 1e-12);
         assert!((r.dynamic_power_swing() - 2.5).abs() < 1e-12);
         assert!((r.delivered_ginst() - 3e-6).abs() < 1e-18);
     }
@@ -239,7 +313,7 @@ mod tests {
     fn empty_report_is_sane() {
         let r = report(vec![]);
         assert_eq!(r.ipc(), 0.0);
-        assert_eq!(r.throttled_fraction(4), 0.0);
+        assert_eq!(r.throttled_fraction(), 0.0);
         assert_eq!(r.dynamic_power_swing(), 1.0);
         assert_eq!(r.duration_s(), 0.0);
     }

@@ -1,11 +1,14 @@
 //! Integration tests for the coupled loop: phase-following power,
-//! temperature-following leakage, interval-chopping invisibility, and
-//! the zero-power cool-down property.
+//! temperature-following leakage, interval-chopping invisibility, the
+//! zero-power cool-down property, and exact replay of a recorded run
+//! under another policy.
 
 use proptest::prelude::*;
 use th_cosim::{
-    stack_thermal_model, CoSimConfig, CoSimReport, CoSimulator, DvfsLadder, NoDtm, PolicyKind,
+    stack_thermal_model, CoSimConfig, CoSimReport, CoSimulator, DtmAction, DtmPolicy,
+    DvfsLadder, IntervalObs, NoDtm, PolicyKind,
 };
+use th_sim::CoreWork;
 use th_isa::parse_asm;
 use th_power::{LeakageModel, PowerConfig};
 use th_sim::{SimConfig, SimSession};
@@ -115,9 +118,9 @@ fn dvfs_ladder_throttles_under_a_tight_cap() {
     );
     let report = cosim.run().unwrap();
     assert!(
-        report.throttled_fraction(4) > 0.2,
+        report.throttled_fraction() > 0.2,
         "ladder never throttled: {:.2}",
-        report.throttled_fraction(4)
+        report.throttled_fraction()
     );
     assert!(report.mean_clock_ghz() < 3.93 - 1e-9);
     let tail_peak =
@@ -151,6 +154,133 @@ fn trace_with_pool(kind: PolicyKind, cap_k: f64, steps: usize, pool: &th_exec::P
     .unwrap()
 }
 
+/// `replayed` equals `computed` bit for bit: every sample, the final
+/// per-unit peaks, leakage and top-die fractions, and the recorded
+/// decisions. Its policy label is `computed`'s, and it claims no
+/// simulation work.
+fn assert_replay_is_bit_identical(replayed: &CoSimReport, computed: &CoSimReport) {
+    let what = &computed.policy;
+    assert_eq!(replayed.policy, computed.policy);
+    assert_eq!(replayed.nominal_ghz.to_bits(), computed.nominal_ghz.to_bits());
+    assert_eq!(replayed.nominal_fetch_width, computed.nominal_fetch_width);
+    assert_eq!(replayed.intervals.len(), computed.intervals.len(), "{what}: interval counts");
+    for (i, (a, b)) in replayed.intervals.iter().zip(&computed.intervals).enumerate() {
+        assert_eq!((a.committed, a.cycles), (b.committed, b.cycles), "{what} interval {i}");
+        assert_eq!(a.fetch_width, b.fetch_width, "{what} interval {i}: fetch");
+        let bits = |s: &th_cosim::IntervalSample| -> Vec<u64> {
+            [s.t_s, s.peak_k, s.clock_ghz, s.dynamic_w, s.clock_w, s.leakage_w]
+                .iter()
+                .chain(&s.die_peak_k)
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(a), bits(b), "{what} interval {i}");
+    }
+    let unit_bits = |list: &[(th_stack3d::Unit, f64)]| -> Vec<(th_stack3d::Unit, u64)> {
+        list.iter().map(|&(u, x)| (u, x.to_bits())).collect()
+    };
+    assert_eq!(unit_bits(&replayed.unit_peaks_k), unit_bits(&computed.unit_peaks_k), "{what}");
+    assert_eq!(unit_bits(&replayed.unit_leakage_w), unit_bits(&computed.unit_leakage_w), "{what}");
+    assert_eq!(unit_bits(&replayed.unit_top_die), unit_bits(&computed.unit_top_die), "{what}");
+    assert_eq!(replayed.decisions.len(), computed.decisions.len(), "{what}: decision counts");
+    for (i, (a, b)) in replayed.decisions.iter().zip(&computed.decisions).enumerate() {
+        assert_eq!(a.action, b.action, "{what} interval {i}: action");
+        assert_eq!(unit_bits(&a.unit_peaks_k), unit_bits(&b.unit_peaks_k), "{what} interval {i}");
+    }
+    assert_eq!(replayed.sim_work, CoreWork::default(), "{what}: a replay simulates nothing");
+    assert_eq!((replayed.sim_wall_s, replayed.solver_wall_s), (0.0, 0.0), "{what}");
+    assert_eq!(replayed.solver_sweeps, 0, "{what}");
+}
+
+#[test]
+fn every_policys_recorded_run_replays_to_itself_bit_for_bit() {
+    let cap_k = 350.0;
+    let reports: Vec<CoSimReport> = PolicyKind::all()
+        .iter()
+        .map(|&kind| trace_with_pool(kind, cap_k, 20, th_exec::pool()))
+        .collect();
+    for (kind, report) in PolicyKind::all().iter().zip(&reports) {
+        assert_eq!(report.decisions.len(), report.intervals.len(), "one decision per interval");
+        let replayed = report
+            .replay(kind.build(cap_k).as_mut())
+            .unwrap_or_else(|| panic!("{}: its own run does not replay", kind.name()));
+        assert_replay_is_bit_identical(&replayed, report);
+    }
+    // Across policies a replay is either refused or exact. Under this
+    // cap the clock ladder and the fetch throttle act differently, so
+    // at least one pair must be refused.
+    let mut refused = 0;
+    for (kind, own) in PolicyKind::all().iter().zip(&reports) {
+        for other in &reports {
+            match other.replay(kind.build(cap_k).as_mut()) {
+                Some(replayed) => assert_replay_is_bit_identical(&replayed, own),
+                None => refused += 1,
+            }
+        }
+    }
+    assert!(refused > 0, "no policy pair diverged under a {cap_k} K cap");
+}
+
+#[test]
+fn a_sibling_policy_with_the_same_decisions_replays_exactly() {
+    // Under a cap the stack never nears, the DVFS ladder never moves the
+    // clock: it decides exactly as NoDtm does, so NoDtm's run replayed
+    // under it equals its own simulated run.
+    let cap_k = 1000.0;
+    let none = trace_with_pool(PolicyKind::None, cap_k, 12, th_exec::pool());
+    let dvfs = trace_with_pool(PolicyKind::Dvfs, cap_k, 12, th_exec::pool());
+    let replayed = none.replay(PolicyKind::Dvfs.build(cap_k).as_mut()).expect("same decisions");
+    assert_replay_is_bit_identical(&replayed, &dvfs);
+}
+
+/// Decides as `inner` does, except at interval `k`, where it returns a
+/// different action.
+struct DivergeAt {
+    inner: Box<dyn DtmPolicy>,
+    k: usize,
+    seen: usize,
+}
+
+impl DtmPolicy for DivergeAt {
+    fn name(&self) -> &'static str {
+        "diverge"
+    }
+
+    fn decide(&mut self, obs: &IntervalObs<'_>) -> DtmAction {
+        let action = self.inner.decide(obs);
+        self.seen += 1;
+        if self.seen - 1 != self.k {
+            return action;
+        }
+        let other = DtmAction { fetch_width: Some(1), ..DtmAction::none() };
+        if action == other {
+            DtmAction::none()
+        } else {
+            other
+        }
+    }
+}
+
+#[test]
+fn a_policy_that_changes_one_decision_does_not_replay() {
+    let cap_k = 350.0;
+    let steps = 12;
+    for kind in [PolicyKind::None, PolicyKind::Dvfs] {
+        let report = trace_with_pool(kind, cap_k, steps, th_exec::pool());
+        let diverge_at = |k| DivergeAt { inner: kind.build(cap_k), k, seen: 0 };
+        for k in [0, steps / 2, steps - 1] {
+            assert!(
+                report.replay(&mut diverge_at(k)).is_none(),
+                "{}: a changed decision at interval {k} replayed",
+                kind.name()
+            );
+        }
+        // The same wrapper that never diverges replays, relabelled.
+        let replayed = report.replay(&mut diverge_at(steps)).expect("no decision changed");
+        assert_eq!(replayed.policy, "diverge");
+    }
+}
+
 #[test]
 fn fetch_throttle_holds_the_cap_without_touching_the_clock() {
     let cap_k = 350.0;
@@ -158,9 +288,9 @@ fn fetch_throttle_holds_the_cap_without_touching_the_clock() {
     // The throttle must engage: a meaningful fraction of intervals run
     // below the nominal fetch width...
     assert!(
-        report.throttled_fraction(4) > 0.2,
+        report.throttled_fraction() > 0.2,
         "fetch throttle never engaged: {:.2}",
-        report.throttled_fraction(4)
+        report.throttled_fraction()
     );
     assert!(report.intervals.iter().any(|s| s.fetch_width < 4), "width never reduced");
     // ...while the clock domain stays untouched (that is DVFS's knob).
@@ -179,9 +309,9 @@ fn herding_aware_holds_the_cap_with_both_actuators_available() {
     let cap_k = 350.0;
     let report = trace_with_pool(PolicyKind::Herding, cap_k, 50, th_exec::pool());
     assert!(
-        report.throttled_fraction(4) > 0.2,
+        report.throttled_fraction() > 0.2,
         "hybrid never throttled: {:.2}",
-        report.throttled_fraction(4)
+        report.throttled_fraction()
     );
     let tail_peak =
         report.intervals.iter().rev().take(5).map(|s| s.peak_k).fold(f64::NEG_INFINITY, f64::max);

@@ -8,7 +8,7 @@
 //!   --budget <insts>    per-core instruction budget, at least 1 (default: 60000)
 //!   --rows <n>          fig10 thermal grid resolution, at least 1 (default: 16)
 //!   --attempts <n>      attempts per shard before degrading (default: 3)
-//!   --timeout-s <secs>  per-attempt wall-clock limit (default: none)
+//!   --timeout-s <secs>  per-attempt wall-clock limit, finite and positive (default: none)
 //!   --quiet             suppress per-shard progress on stderr
 //! ```
 //!
@@ -64,7 +64,12 @@ fn main() -> ExitCode {
                 _ => return usage(),
             },
             "--timeout-s" => match value("--timeout-s").map(str::parse::<f64>) {
-                Ok(Ok(v)) if v > 0.0 => opts.timeout = Some(Duration::from_secs_f64(v)),
+                // A finite, positive limit that a `Duration` holds and
+                // that does not round down to zero.
+                Ok(Ok(v)) if v.is_finite() => match Duration::try_from_secs_f64(v) {
+                    Ok(limit) if !limit.is_zero() => opts.timeout = Some(limit),
+                    _ => return usage(),
+                },
                 _ => return usage(),
             },
             "--quiet" => opts.verbose = false,

@@ -23,6 +23,14 @@
 //!   with exponential backoff and then recorded as **degraded** instead
 //!   of aborting sibling shards. The [`FaultPlan`] / `TH_SWEEP_FAULT`
 //!   knob injects such failures on demand for testing.
+//! * Co-simulation shards that differ only in their DTM policy share
+//!   work: each `run_sweep` call keeps the trajectories its
+//!   [`ShardTask::CosimRun`] shards have simulated, and a shard whose
+//!   policy makes exactly the decisions of a stored trajectory replays it
+//!   ([`th_cosim::CoSimReport::replay`]) instead of simulating. The
+//!   trajectory is a deterministic function of the task and its actions,
+//!   so a replayed shard's metrics are bit-identical to a simulated
+//!   one's.
 //!
 //! ## Run-directory layout
 //!
@@ -33,9 +41,11 @@
 //! ```
 //!
 //! The opening `sweep_start` line carries the pool's `lanes`. Each
-//! `shard_done` line carries the shard's `wall_s`; the closing
-//! `sweep_done` line carries the whole sweep's `wall_s` (set-up, resume
-//! scan and checkpoint I/O included), the pool's `lanes` and
+//! `shard_done` line carries the shard's `wall_s`, and a co-simulation
+//! shard's line carries `replayed` (1 if it replayed a sibling's
+//! trajectory, else 0); the closing `sweep_done` line carries the whole
+//! sweep's `wall_s` (set-up, resume scan and checkpoint I/O included),
+//! the pool's `lanes`, the count of `replayed` shards and
 //! `checkpoint_s`, the summed time of the sweep's durable writes
 //! (manifest and shard checkpoints), so the time spent outside shards
 //! can be read from the telemetry alone.
@@ -59,12 +69,12 @@ use std::io::{self, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-use th_cosim::{CoSimConfig, PolicyKind};
+use th_cosim::{CoSimConfig, CoSimReport, DtmPolicy, PolicyKind};
 use th_stack3d::Unit;
 use th_workloads::{workload_by_name, Workload};
-use thermal_herding::experiments::dtm;
+use thermal_herding::experiments::dtm::{self, DtmTrace};
 use thermal_herding::{run_chip_with_work, thermal_analysis, CoreWork, Variant};
 
 /// One independently runnable unit of sweep work.
@@ -155,18 +165,29 @@ impl ShardTask {
 
     /// Runs the task to completion on the current thread.
     ///
+    /// This is the path [`run_sweep`] takes, with no sibling trajectories
+    /// to replay: a [`ShardTask::CosimRun`] always simulates here.
+    ///
     /// # Errors
     ///
     /// Unknown workloads, pipeline traps, and thermal-solver
     /// non-convergence, as messages.
     pub fn execute(&self) -> Result<ShardPayload, String> {
-        match self {
+        self.execute_with(&Trajectories::default()).map(|(payload, _)| payload)
+    }
+
+    /// Runs the task. A [`ShardTask::CosimRun`] first replays each
+    /// trajectory `store` holds under its key, and simulates only if its
+    /// policy reproduces none of them; a simulated trajectory comes back
+    /// for the caller to publish once the attempt has succeeded.
+    fn execute_with(&self, store: &Trajectories) -> Result<Executed, String> {
+        let payload = match self {
             ShardTask::ChipRun { workload, variant, budget } => {
                 let (w, build_s) = build_workload(workload)?;
                 let (run, sim_s) = timed(|| run_chip_with_work(*variant, &w, *budget));
                 let (run, work) = run.map_err(|t| format!("pipeline trap: {t:?}"))?;
                 let table = run.die_table();
-                Ok(ShardPayload {
+                ShardPayload {
                     metrics: vec![
                         ("ipc".into(), run.ipc()),
                         ("ipns".into(), run.ipns()),
@@ -179,7 +200,7 @@ impl ShardTask {
                         vec![("build_s".into(), build_s), ("sim_s".into(), sim_s)],
                         &work,
                     ),
-                })
+                }
             }
             ShardTask::ThermalRun { workload, variant, budget, rows } => {
                 let (w, build_s) = build_workload(workload)?;
@@ -187,7 +208,7 @@ impl ShardTask {
                 let (run, work) = run.map_err(|t| format!("pipeline trap: {t:?}"))?;
                 let (analysis, solve_s) = timed(|| thermal_analysis(&run, *rows));
                 let analysis = analysis.map_err(|e| e.to_string())?;
-                Ok(ShardPayload {
+                ShardPayload {
                     metrics: vec![
                         ("ipc".into(), run.ipc()),
                         ("total_w".into(), run.power.total_w()),
@@ -202,7 +223,7 @@ impl ShardTask {
                         ],
                         &work,
                     ),
-                })
+                }
             }
             ShardTask::CosimRun {
                 workload,
@@ -214,6 +235,21 @@ impl ShardTask {
                 slice_cycles,
                 steps,
             } => {
+                // Every field but the policy: the trajectory's inputs.
+                let key = ShardTask::CosimRun {
+                    workload: workload.clone(),
+                    variant: *variant,
+                    policy: PolicyKind::None,
+                    cap_k: *cap_k,
+                    rows: *rows,
+                    interval_s: *interval_s,
+                    slice_cycles: *slice_cycles,
+                    steps: *steps,
+                };
+                if let Some(report) = store.replay(&key, || policy.build(*cap_k)) {
+                    let trace = DtmTrace { variant: *variant, cap_k: *cap_k, report };
+                    return Ok((cosim_payload(&trace, 0.0, true), None));
+                }
                 let (w, build_s) = build_workload(workload)?;
                 let cfg = CoSimConfig::sampled(*interval_s, *slice_cycles, *steps);
                 let trace = dtm::run_variant_scaled(
@@ -224,41 +260,88 @@ impl ShardTask {
                     policy.build(*cap_k),
                     cfg,
                 );
-                Ok(ShardPayload {
-                    metrics: vec![
-                        ("intervals".into(), trace.report.intervals.len() as f64),
-                        ("max_peak_k".into(), trace.max_peak_k()),
-                        ("mean_clock_ghz".into(), trace.mean_clock_ghz()),
-                        ("throttled_fraction".into(), trace.throttled_fraction()),
-                        ("delivered_ginst".into(), trace.delivered_ginst()),
-                        ("ipc".into(), trace.ipc()),
-                        ("rf_top_die".into(), trace.rf_top_die()),
-                    ],
-                    timings: with_core_work(
-                        vec![
-                            ("build_s".into(), build_s),
-                            ("sim_wall_s".into(), trace.report.sim_wall_s),
-                            ("solver_wall_s".into(), trace.report.solver_wall_s),
-                            ("solver_sweeps".into(), trace.report.solver_sweeps as f64),
-                        ],
-                        &trace.report.sim_work,
-                    ),
-                })
+                let payload = cosim_payload(&trace, build_s, false);
+                return Ok((payload, Some((key, trace.report))));
             }
             ShardTask::SelfTest { seed, spin } => {
                 let mut x = *seed ^ 0x9e37_79b9_7f4a_7c15;
                 for _ in 0..(*spin).max(1) {
                     x = splitmix64(x);
                 }
-                Ok(ShardPayload {
+                ShardPayload {
                     metrics: vec![
                         ("seed".into(), *seed as f64),
                         ("value".into(), (x >> 11) as f64 / (1u64 << 53) as f64),
                     ],
                     timings: Vec::new(),
-                })
+                }
             }
-        }
+        };
+        Ok((payload, None))
+    }
+}
+
+/// A finished co-simulation: its [`ShardTask::CosimRun`] with the policy
+/// erased (the key), and its report.
+type Trajectory = (ShardTask, CoSimReport);
+
+/// A task's payload, plus the trajectory a simulated co-simulation
+/// publishes once its attempt has succeeded.
+type Executed = (ShardPayload, Option<Trajectory>);
+
+/// The co-simulation trajectories one [`run_sweep`] call has finished.
+/// Shared behind an `Arc` because a timed attempt runs on a detached
+/// watchdog thread. A lane that panics holding the lock leaves the list
+/// valid (it only reads, or pushes whole entries), so a poisoned lock is
+/// recovered.
+#[derive(Clone, Default)]
+struct Trajectories(Arc<Mutex<Vec<Trajectory>>>);
+
+impl Trajectories {
+    /// The first stored trajectory under `key` that a fresh policy from
+    /// `policy` reproduces decision for decision, replayed under it.
+    fn replay(
+        &self,
+        key: &ShardTask,
+        policy: impl Fn() -> Box<dyn DtmPolicy>,
+    ) -> Option<CoSimReport> {
+        let stored = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        stored
+            .iter()
+            .filter(|(k, _)| k == key)
+            .find_map(|(_, report)| report.replay(policy().as_mut()))
+    }
+
+    fn publish(&self, trajectory: Trajectory) {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).push(trajectory);
+    }
+}
+
+/// A co-simulation shard's metrics, and as timings its build time,
+/// whether it was `replayed` (1) or simulated (0), and the simulation's
+/// own telemetry (all zero for a replay).
+fn cosim_payload(trace: &DtmTrace, build_s: f64, replayed: bool) -> ShardPayload {
+    let report = &trace.report;
+    ShardPayload {
+        metrics: vec![
+            ("intervals".into(), report.intervals.len() as f64),
+            ("max_peak_k".into(), trace.max_peak_k()),
+            ("mean_clock_ghz".into(), trace.mean_clock_ghz()),
+            ("throttled_fraction".into(), trace.throttled_fraction()),
+            ("delivered_ginst".into(), trace.delivered_ginst()),
+            ("ipc".into(), trace.ipc()),
+            ("rf_top_die".into(), trace.rf_top_die()),
+        ],
+        timings: with_core_work(
+            vec![
+                ("build_s".into(), build_s),
+                ("replayed".into(), if replayed { 1.0 } else { 0.0 }),
+                ("sim_wall_s".into(), report.sim_wall_s),
+                ("solver_wall_s".into(), report.solver_wall_s),
+                ("solver_sweeps".into(), report.solver_sweeps as f64),
+            ],
+            &report.sim_work,
+        ),
     }
 }
 
@@ -513,6 +596,12 @@ impl SweepOutcome {
         self.records.iter().filter(|r| r.status == ShardStatus::Degraded).count()
     }
 
+    /// Number of co-simulation shards this run replayed from a sibling's
+    /// trajectory instead of simulating.
+    pub fn replayed(&self) -> usize {
+        self.records.iter().filter(|r| !r.resumed && r.timing("replayed") == Some(1.0)).count()
+    }
+
     /// A record by shard id.
     pub fn record(&self, id: &str) -> Option<&ShardRecord> {
         self.records.iter().find(|r| r.id == id)
@@ -584,22 +673,23 @@ fn raw_pair(k: &str, v: String) -> (String, String) {
     (k.to_string(), v)
 }
 
-/// One attempt of a task, with the unwind boundary and optional
-/// watchdog timeout. `injected_panic` (the attempt number, from a
-/// [`FaultMode::Panic`] rule) raises a panic inside the guarded work in
-/// place of the task, so it crosses the same catch and watchdog thread
-/// as a real one.
+/// One attempt of a task against the sweep's `store`, with the unwind
+/// boundary and optional watchdog timeout. `injected_panic` (the attempt
+/// number, from a [`FaultMode::Panic`] rule) raises a panic inside the
+/// guarded work in place of the task, so it crosses the same catch and
+/// watchdog thread as a real one.
 fn run_attempt(
     task: &ShardTask,
+    store: &Trajectories,
     timeout: Option<Duration>,
     injected_panic: Option<u32>,
-) -> Result<ShardPayload, String> {
-    let guarded = move |task: &ShardTask| -> Result<ShardPayload, String> {
+) -> Result<Executed, String> {
+    let guarded = move |task: &ShardTask, store: &Trajectories| -> Result<Executed, String> {
         let work = || {
             if let Some(attempt) = injected_panic {
                 panic!("{FAULT_ENV}: injected panic (attempt {attempt})");
             }
-            task.execute()
+            task.execute_with(store)
         };
         match catch_unwind(AssertUnwindSafe(work)) {
             Ok(r) => r,
@@ -614,16 +704,18 @@ fn run_attempt(
         }
     };
     match timeout {
-        None => guarded(task),
+        None => guarded(task, store),
         Some(limit) => {
             let (tx, rx) = std::sync::mpsc::channel();
             let task = task.clone();
+            let store = store.clone();
             // The watchdog owns the attempt; on overrun the thread is
-            // abandoned (detached) and its eventual result discarded.
+            // abandoned (detached) and its eventual result, trajectory
+            // included, discarded.
             std::thread::Builder::new()
                 .name("th-sweep-attempt".into())
                 .spawn(move || {
-                    let _ = tx.send(guarded(&task));
+                    let _ = tx.send(guarded(&task, &store));
                 })
                 .map_err(|e| format!("spawn attempt thread: {e}"))?;
             match rx.recv_timeout(limit) {
@@ -712,6 +804,7 @@ pub fn run_sweep(
     let resumed = spec.shards.len() - pending.len();
 
     let telemetry = Telemetry::open(&dir.join("telemetry.jsonl"))?;
+    let store = Trajectories::default();
     telemetry.emit(&[
         str_pair("event", "sweep_start"),
         str_pair("sweep", &spec.name),
@@ -741,11 +834,18 @@ pub fn run_sweep(
                 Some(FaultMode::Error) => {
                     Err(format!("{FAULT_ENV}: injected failure (attempt {attempt})"))
                 }
-                Some(FaultMode::Panic) => run_attempt(&shard.task, opts.timeout, Some(attempt)),
-                None => run_attempt(&shard.task, opts.timeout, None),
+                Some(FaultMode::Panic) => {
+                    run_attempt(&shard.task, &store, opts.timeout, Some(attempt))
+                }
+                None => run_attempt(&shard.task, &store, opts.timeout, None),
             };
             match outcome {
-                Ok(payload) => {
+                Ok((payload, trajectory)) => {
+                    // Published only now: a failed, panicked or timed-out
+                    // attempt never reaches a sibling.
+                    if let Some(trajectory) = trajectory {
+                        store.publish(trajectory);
+                    }
                     result = Some(payload);
                     break;
                 }
@@ -858,6 +958,7 @@ pub fn run_sweep(
         str_pair("event", "sweep_done"),
         raw_pair("done", format!("{}", outcome.done())),
         raw_pair("degraded", format!("{}", outcome.degraded())),
+        raw_pair("replayed", format!("{}", outcome.replayed())),
         raw_pair("wall_s", json::num(t_sweep.elapsed().as_secs_f64())),
         raw_pair("lanes", format!("{}", pool.threads())),
         raw_pair("checkpoint_s", json::num(checkpoint_ns.load(Ordering::Relaxed) as f64 * 1e-9)),

@@ -109,3 +109,10 @@ fn core_block_reports_both_runs_rates() {
         assert!((0.0..1.0).contains(&ratio), "core.{run}: idle_skip_ratio = {ratio}");
     }
 }
+
+#[test]
+fn host_calibration_time_is_positive() {
+    // The perf guards divide every guarded time by it.
+    let calibration_s = num(&report(), "host_calibration_s");
+    assert!(calibration_s > 0.0, "host_calibration_s = {calibration_s}");
+}

@@ -10,6 +10,9 @@
 //!   failures still complete the sweep: retries appear in the JSONL
 //!   telemetry, permanently failing shards end up degraded, and their
 //!   siblings are unaffected.
+//! * **Exact replay** — a co-simulation shard that replays a sibling's
+//!   trajectory reports the metrics its own `ShardTask::execute` does,
+//!   at any lane count, shard order, injected fault or resume.
 
 use std::fs;
 use std::path::PathBuf;
@@ -450,4 +453,146 @@ fn core_work_counters_are_logged_and_identical_at_one_and_four_lanes() {
         assert!(c[0] > 0 && c[1] > 0, "{}: no work counted: {c:?}", shard.id);
         assert!(c[3] >= c[0], "{}: fewer completion events than commits: {c:?}", shard.id);
     }
+}
+
+/// The `dtm` preset's grid, two stacks × three policies, cut to four
+/// 2 000-cycle intervals under a 330 K cap. At that cap each stack's
+/// herding policy takes exactly the DVFS ladder's steps and the fetch
+/// throttle acts differently, so at one lane 4 of the 6 shards simulate
+/// and 2 replay, in any shard order.
+fn small_dtm_spec() -> SweepSpec {
+    let mut spec = presets::dtm();
+    spec.name = "small-dtm".into();
+    for shard in &mut spec.shards {
+        match &mut shard.task {
+            ShardTask::CosimRun { cap_k, slice_cycles, steps, .. } => {
+                *cap_k = 330.0;
+                *slice_cycles = 2_000;
+                *steps = 4;
+            }
+            other => panic!("the dtm preset holds a non-cosim shard: {other:?}"),
+        }
+    }
+    spec
+}
+
+/// Each shard's metrics from its own `ShardTask::execute`, in spec order.
+fn executed_alone(spec: &SweepSpec) -> Vec<ShardRecord> {
+    spec.shards
+        .iter()
+        .map(|s| ShardRecord {
+            id: s.id.clone(),
+            status: ShardStatus::Done,
+            attempts: 1,
+            wall_s: 0.0,
+            error: None,
+            metrics: s.task.execute().expect("shard executes").metrics,
+            timings: Vec::new(),
+            resumed: false,
+        })
+        .collect()
+}
+
+/// Each cosim `shard_done` line's `replayed` flag by shard id, and the
+/// closing `sweep_done` line's count.
+fn replay_telemetry(dir: &std::path::Path) -> (Vec<(String, f64)>, f64) {
+    let events = telemetry_events(dir);
+    let flags = events
+        .iter()
+        .filter(|(e, _)| e == "shard_done")
+        .map(|(_, v)| {
+            let id = v.get("shard").and_then(Json::as_str).expect("shard id").to_string();
+            let flag = v.get("replayed").and_then(Json::as_f64).expect("numeric replayed");
+            (id, flag)
+        })
+        .collect();
+    let (event, done) = events.last().expect("telemetry written");
+    assert_eq!(event, "sweep_done");
+    (flags, done.get("replayed").and_then(Json::as_f64).expect("numeric replayed count"))
+}
+
+#[test]
+fn cosim_telemetry_counts_the_replays_in_any_shard_order() {
+    let spec = small_dtm_spec();
+    let mut reversed = spec.clone();
+    reversed.shards.reverse();
+    let mut runs = Vec::new();
+    for (tag, spec) in [("forward", &spec), ("reversed", &reversed)] {
+        let dir = RunDir::new(&format!("replay-count-{tag}"));
+        let outcome =
+            run_sweep(spec, &dir.0, &fast_opts(), &Pool::new(1)).expect("sweep completes");
+        let (flags, count) = replay_telemetry(&dir.0);
+        assert_eq!(flags.len(), 6, "{tag}: one shard_done line per shard");
+        assert!(flags.iter().all(|&(_, f)| f == 0.0 || f == 1.0), "{tag}: {flags:?}");
+        let replayed = flags.iter().filter(|&&(_, f)| f == 1.0).count();
+        assert_eq!(replayed, 2, "{tag}: replayed shards {flags:?}");
+        assert_eq!((count, outcome.replayed()), (2.0, 2), "{tag}: sweep_done count");
+        // A replayed shard simulated nothing; a computed one did.
+        for r in &outcome.records {
+            let replayed = r.timing("replayed") == Some(1.0);
+            let committed = r.timing("core_committed").expect("work counters");
+            assert_eq!(committed == 0.0, replayed, "{tag} {}: committed {committed}", r.id);
+        }
+        let mut records = outcome.records;
+        records.sort_by(|a, b| a.id.cmp(&b.id));
+        runs.push(records);
+    }
+    assert_metrics_identical(&runs[0], &runs[1]);
+}
+
+#[test]
+fn replayed_dtm_shards_match_their_own_execute_at_one_and_four_lanes() {
+    let spec = small_dtm_spec();
+    let alone = executed_alone(&spec);
+    for lanes in [1, 4] {
+        let dir = RunDir::new(&format!("replay-lanes-{lanes}"));
+        let outcome =
+            run_sweep(&spec, &dir.0, &fast_opts(), &Pool::new(lanes)).expect("sweep completes");
+        assert_metrics_identical(&outcome.records, &alone);
+        if lanes == 1 {
+            assert_eq!(outcome.replayed(), 2);
+        }
+    }
+}
+
+#[test]
+fn a_failed_first_attempt_publishes_nothing_and_moves_no_metric() {
+    let spec = small_dtm_spec();
+    let alone = executed_alone(&spec);
+    // At one lane the first shard is the first computed one; fail its
+    // first attempt as an error, then as a panic. Every attempt runs on
+    // the watchdog's thread, so the trajectories cross it too.
+    let first = &spec.shards[0].id;
+    for plan in [format!("{first}:1"), format!("{first}:1!")] {
+        let dir = RunDir::new("replay-fault");
+        let opts = SweepOptions {
+            timeout: Some(Duration::from_secs(60)),
+            fault: FaultPlan::parse(&plan).expect("valid plan"),
+            ..fast_opts()
+        };
+        let outcome = run_sweep(&spec, &dir.0, &opts, &Pool::new(1)).expect("sweep completes");
+        assert_eq!(outcome.record(first).unwrap().attempts, 2, "{plan}");
+        assert_eq!(outcome.replayed(), 2, "{plan}");
+        assert_metrics_identical(&outcome.records, &alone);
+    }
+}
+
+#[test]
+fn a_resumed_dtm_sweep_replays_among_its_pending_shards_only() {
+    let spec = small_dtm_spec();
+    let alone = executed_alone(&spec);
+    let dir = RunDir::new("replay-resume");
+    run_sweep(&spec, &dir.0, &fast_opts(), &Pool::new(1)).expect("first pass");
+    // Lose every checkpoint of the 3D stack: its three shards rerun,
+    // dvfs and fetch simulate and herding replays dvfs's trajectory. The
+    // resumed 3D-noTH checkpoints hold no trajectory to replay.
+    let pending = ["dtm/3D/dvfs", "dtm/3D/fetch", "dtm/3D/herding"];
+    for id in pending {
+        let path = dir.0.join("shards").join(format!("{}.json", id.replace('/', "-")));
+        fs::remove_file(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    }
+    let resumed = run_sweep(&spec, &dir.0, &fast_opts(), &Pool::new(1)).expect("resume");
+    assert_eq!((resumed.resumed, resumed.executed), (3, 3));
+    assert_eq!(resumed.replayed(), 1, "3D/herding replays 3D/dvfs");
+    assert_metrics_identical(&resumed.records, &alone);
 }

@@ -98,3 +98,11 @@ fn zero_rows_is_a_usage_error_before_any_run() {
 fn zero_budget_is_a_usage_error_before_any_run() {
     assert_usage_error_before_any_run("budget", &["--budget", "0", "--rows", "4"]);
 }
+
+#[test]
+fn an_unrepresentable_timeout_is_a_usage_error_before_any_run() {
+    for timeout in ["1e30", "inf", "NaN", "-1", "0", "1e-12"] {
+        let tag = format!("timeout-{}", timeout.replace(['.', '-'], "_"));
+        assert_usage_error_before_any_run(&tag, &["--timeout-s", timeout, "--rows", "4"]);
+    }
+}
